@@ -1,7 +1,7 @@
 module Params = Dangers_analytic.Params
 module Profile = Dangers_workload.Profile
 module Connectivity = Dangers_net.Connectivity
-module Delay = Dangers_net.Delay
+module Delay = Dangers_runtime.Delay
 module Network = Dangers_net.Network
 module Op = Dangers_txn.Op
 module Oid = Dangers_storage.Oid

@@ -122,7 +122,8 @@ let type_is_atomic ty =
   | _ -> false
 
 (* A record that carries its own Mutex.t (or Atomic.t) field is treated
-   as self-guarded shared state: the Domain_pool / Live_clock idiom. The
+   as self-guarded shared state: the Domain_pool idiom, and Live_clock's
+   mutex-guarded mailbox and atomic stop flag. The
    label array on any one field descriptor lists every field of the
    record, so no environment lookup is needed. *)
 let record_self_guarded (label : Types.label_description) =

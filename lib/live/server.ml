@@ -85,17 +85,21 @@ let emit_sample t =
 let maybe_sample t =
   if Live_clock.now t.live >= t.next_sample then emit_sample t
 
-let respond _t client response =
-  if client.alive then
-    try Protocol.send client.fd Protocol.response response
-    with Unix.Unix_error _ -> client.alive <- false
-
 let drop_client t client =
   if client.alive then begin
     client.alive <- false;
     (try Unix.close client.fd with Unix.Unix_error _ -> ())
   end;
   t.clients <- List.filter (fun c -> c != client) t.clients
+
+(* A reply that cannot be written (EPIPE, ECONNRESET: the client closed
+   before reading) means that client is gone; the server keeps serving.
+   SIGPIPE is ignored for the whole of [serve], so the write fails with
+   EPIPE instead of killing the process. *)
+let respond t client response =
+  if client.alive then
+    try Protocol.send client.fd Protocol.response response
+    with Unix.Unix_error _ -> drop_client t client
 
 (* Answer [Sync] once the mobile's replay completes: the scheme's
    [on_sync] listener fires after protocol step 4 and drains the queue of
@@ -250,7 +254,8 @@ let write_metrics t =
 let serve config =
   Params.validate config.params;
   let obs = Obs.create () in
-  let runtime = Runtime.live_wall () in
+  let live = Live_clock.create () in
+  let runtime = Runtime.live_wall live in
   (* Mobility is client-driven over the protocol, not scheduled: the
      base-node spec never cycles, so [Set_connected]/[Sync] are the only
      connectivity levers. *)
@@ -259,11 +264,6 @@ let serve config =
       ~base_nodes:config.base_nodes config.params ~seed:config.seed
   in
   let clock = (Two_tier.base sys).Common.clock in
-  let live =
-    match Clock.live clock with
-    | Some live -> live
-    | None -> invalid_arg "Server.serve: runtime is not live"
-  in
   (match Unix.stat config.socket_path with
   | _ -> Unix.unlink config.socket_path
   | exception Unix.Unix_error _ -> ());
@@ -321,15 +321,16 @@ let serve config =
            t.shutdown <- true;
            Live_clock.stop live))
   in
+  let previous_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   log t "serve: two-tier on %s (%d base node(s), %d mobile slot(s), seed %d)"
     config.socket_path config.base_nodes
     (config.params.Params.nodes - config.base_nodes)
     config.seed;
-  (try Clock.run clock
-   with exn ->
-     Sys.set_signal Sys.sigint previous_sigint;
-     raise exn);
-  Sys.set_signal Sys.sigint previous_sigint;
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.set_signal Sys.sigint previous_sigint;
+      Sys.set_signal Sys.sigpipe previous_sigpipe)
+    (fun () -> Clock.run clock);
   Live_clock.set_idle_waiter live None;
   List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) t.clients;
   (try Unix.close listen_fd with Unix.Unix_error _ -> ());

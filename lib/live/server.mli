@@ -42,6 +42,8 @@ type config = {
 val serve : config -> Protocol.stats
 (** Run until a client sends [Shutdown] (or SIGINT). Blocks. Returns the
     final scheme counters after printing a one-line summary (unless
-    [print_summary] is false).
+    [print_summary] is false). SIGPIPE is ignored while serving, and the
+    previous handler restored on exit: a client that closes before
+    reading its reply is dropped, not fatal.
     @raise Invalid_argument on invalid [params], [base_nodes] or a
     non-positive [sample_interval]. *)

@@ -1,21 +1,25 @@
 module Clock = Dangers_runtime.Clock
-module Runtime = Dangers_runtime.Runtime
+module Delay = Dangers_runtime.Delay
 module Rng = Dangers_util.Rng
 
 type 'msg parked = { p_src : int; p_dst : int; p_msg : 'msg }
 
-type fault_action = Runtime.fault_action =
+type fault_action =
   | Pass
   | Drop
   | Duplicate
   | Delay_extra of float
 
-type faults = Runtime.faults = {
+type faults = {
   blocked : src:int -> dst:int -> bool;
   on_transmit : src:int -> dst:int -> fault_action;
 }
 
-let no_faults = Runtime.no_faults
+let no_faults =
+  {
+    blocked = (fun ~src:_ ~dst:_ -> false);
+    on_transmit = (fun ~src:_ ~dst:_ -> Pass);
+  }
 
 type 'msg t = {
   clock : Clock.t;
@@ -184,23 +188,3 @@ let messages_delivered t = t.delivered
 let messages_parked t = t.parked_count
 let messages_dropped t = t.dropped
 let messages_duplicated t = t.duplicated
-
-(* Compile-time proof that the simulated network satisfies the runtime's
-   transport interface — the contract a third transport must meet. *)
-module _ : Runtime.TRANSPORT = struct
-  type nonrec 'msg t = 'msg t
-
-  let create = create
-  let nodes = nodes
-  let is_connected = is_connected
-  let send = send
-  let broadcast = broadcast
-  let set_connected = set_connected
-  let flush_node = flush_node
-  let on_connectivity_change = on_connectivity_change
-  let messages_sent = messages_sent
-  let messages_delivered = messages_delivered
-  let messages_parked = messages_parked
-  let messages_dropped = messages_dropped
-  let messages_duplicated = messages_duplicated
-end

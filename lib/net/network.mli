@@ -1,5 +1,4 @@
-(** Message network with store-and-forward for disconnected nodes — the
-    canonical {!Dangers_runtime.Runtime.TRANSPORT} implementation.
+(** Message network with store-and-forward for disconnected nodes.
 
     Nodes are integers in [0, nodes). A message is delivered by invoking the
     network's [deliver] callback after the sampled delay — but only when both
@@ -19,18 +18,15 @@
 
 type 'msg t
 
-(** {1 Fault hooks}
+(** {1 Fault hooks} *)
 
-    The types live in {!Dangers_runtime.Runtime} (any transport can be
-    fault-injected); re-exported here with full equality. *)
-
-type fault_action = Dangers_runtime.Runtime.fault_action =
+type fault_action =
   | Pass  (** deliver normally *)
   | Drop  (** lose the message (counted and traced) *)
   | Duplicate  (** put two copies in flight, each with its own delay *)
   | Delay_extra of float  (** add this much latency (reordering) *)
 
-type faults = Dangers_runtime.Runtime.faults = {
+type faults = {
   blocked : src:int -> dst:int -> bool;
       (** partition test, consulted at transmission time; blocked messages
           park at the sender and are retried by {!flush_node} *)
@@ -47,7 +43,7 @@ val create :
   ?faults:faults ->
   clock:Dangers_runtime.Clock.t ->
   rng:Dangers_util.Rng.t ->
-  delay:Delay.t ->
+  delay:Dangers_runtime.Delay.t ->
   nodes:int ->
   deliver:(src:int -> dst:int -> 'msg -> unit) ->
   unit ->

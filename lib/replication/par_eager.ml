@@ -10,7 +10,7 @@ module Fstore = Dangers_storage.Store.Fstore
 module Oid = Dangers_storage.Oid
 module Timestamp = Dangers_storage.Timestamp
 module Op = Dangers_txn.Op
-module Delay = Dangers_net.Delay
+module Delay = Dangers_runtime.Delay
 module Network = Dangers_net.Network
 module Rng = Dangers_util.Rng
 module Domain_pool = Dangers_util.Domain_pool

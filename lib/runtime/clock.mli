@@ -1,33 +1,29 @@
 (** The clock every scheme is written against.
 
-    A closed sum over the two runtime backends: the discrete-event
-    simulator ({!Dangers_sim.Engine}, time advances by fiat) and the
-    live timer wheel ({!Live_clock}, time advances deterministically in
-    virtual mode or with the machine's monotonic clock in wall mode).
-    Scheme code that schedules through this interface runs unmodified on
-    either — the sim/live equivalence suite holds it to that.
+    One {!Dangers_sim.Engine.t} does all the scheduling, on either
+    runtime: the simulator, where time advances by fiat to each event,
+    and the live runtime, where a {!Live_clock} wall-time driver fires
+    the same engine as the monotonic clock catches up. Scheme code that
+    schedules through this interface runs unmodified on both.
 
-    Every operation is one constructor dispatch over the backend; the
-    sim arm compiles to exactly the engine calls the schemes made before
-    the abstraction existed, so simulation cost is unchanged. *)
+    Only {!now}, {!run} and {!run_for} look at which runtime this is;
+    every other operation is the engine call itself. *)
 
 module Engine = Dangers_sim.Engine
 
-type t = Sim of Engine.t | Live of Live_clock.t
+type t
 
-type event_id
-(** Handle for cancelling, from either backend. *)
+type event_id = Engine.event_id
+(** Handle for cancelling. *)
 
 val of_engine : Engine.t -> t
+(** A simulator clock over [engine]. *)
+
 val of_live : Live_clock.t -> t
-
-val sim_engine : t -> Engine.t option
-(** The underlying engine when this is a simulator clock — for callers
-    (parallel sweep, fuzzer fault plans) that need sim-only machinery. *)
-
-val live : t -> Live_clock.t option
+(** A wall clock over the driver's engine. *)
 
 val now : t -> float
+(** Simulated time, or monotonic seconds on a live clock. *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> event_id
 (** @raise Invalid_argument if [delay] is negative or not finite. *)
@@ -37,24 +33,22 @@ val schedule_at : t -> time:float -> (unit -> unit) -> event_id
 
 val schedule_unit : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule] for fire-and-forget callers (the executor's per-action
-    delays, the network's arrivals): no handle is wrapped, so the sim
-    arm allocates exactly what [Engine.schedule] always did. *)
+    delays, the network's arrivals). *)
 
 val cancel : t -> event_id -> unit
 val pending : t -> int
 val next_time : t -> float option
 
 val run : ?max_events:int -> ?until:float -> t -> unit
-(** Drain / advance the backend ({!Engine.run} / {!Live_clock.run}).
-    Runaway overruns raise the backend's own exception
-    ({!Engine.Runaway} or {!Live_clock.Runaway}). *)
+(** {!Engine.run} on a simulator clock, {!Live_clock.run} on a live one.
+    Runaway overruns raise {!Engine.Runaway} on both. *)
 
 val run_for : t -> float -> unit
 
 val events_fired : t -> int
 val queue_high_water : t -> int
 
-(** {1 Tracing} — forwarded to the backend; no tracer, no cost. *)
+(** {1 Tracing} — the engine's; no tracer, no cost. *)
 
 val set_tracer : t -> Dangers_sim.Trace.t option -> unit
 val tracer : t -> Dangers_sim.Trace.t option

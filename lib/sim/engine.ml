@@ -152,6 +152,11 @@ let cancel t event =
 
 let pending t = t.live
 
+(* Forward only. On the simulator an event's time is never behind the
+   clock, so from [step] this is a plain assignment; a wall-time driver
+   that has already advanced past a late event keeps its clock. *)
+let advance t time = if time > t.clock then t.clock <- time
+
 (* Cancelled roots are popped eagerly so the answer is the time of an event
    that will actually fire; this keeps the parallel engine's window bound
    (the global minimum of these) exact rather than pessimistic. *)
@@ -176,7 +181,7 @@ let rec step t =
          instead of corrupting the live count. *)
       event.cancelled <- true;
       t.live <- t.live - 1;
-      t.clock <- time;
+      advance t time;
       t.fired <- t.fired + 1;
       event.action ();
       true
@@ -213,7 +218,7 @@ let run ?max_events ?until t =
           end
       in
       loop ();
-      if deadline > t.clock then t.clock <- deadline
+      advance t deadline
 
 let run_for t span =
   if not (Float.is_finite span && span >= 0.) then

@@ -36,8 +36,16 @@ val next_time : t -> float option
     an empty (or all-cancelled) queue. The conservative parallel engine
     uses the minimum of these across partitions as its window bound. *)
 
+val advance : t -> float -> unit
+(** [advance t time] moves the clock forward to [time]; a no-op when
+    [time] is not later than [now t]. For a driver that binds the engine
+    to an outside time source, as the live runtime binds it to the wall
+    clock. *)
+
 val step : t -> bool
-(** Fire the next event; [false] when the queue is empty. *)
+(** Fire the next event; [false] when the queue is empty. The clock
+    moves forward to the event's time and never back: an event left
+    behind by {!advance} fires at the current time. *)
 
 exception Runaway of int
 (** Raised by {!run} when [max_events] fire without draining the queue —

@@ -9,7 +9,7 @@ module Engine = Dangers_sim.Engine
 module Clock = Dangers_runtime.Clock
 module Metrics = Dangers_sim.Metrics
 module Connectivity = Dangers_net.Connectivity
-module Delay = Dangers_net.Delay
+module Delay = Dangers_runtime.Delay
 module Params = Dangers_analytic.Params
 module Rng = Dangers_util.Rng
 module Common = Dangers_replication.Common

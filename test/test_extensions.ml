@@ -13,7 +13,7 @@ module Clock = Dangers_runtime.Clock
 module Metrics = Dangers_sim.Metrics
 module Fstore = Dangers_storage.Store.Fstore
 module Lock_manager = Dangers_lock.Lock_manager
-module Delay = Dangers_net.Delay
+module Delay = Dangers_runtime.Delay
 module Rng = Dangers_util.Rng
 module Stats = Dangers_util.Stats
 

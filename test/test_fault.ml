@@ -98,7 +98,7 @@ let test_injector_drops_messages () =
   let network =
     Network.create
       ~faults:(Fault_injector.faults injector)
-      ~clock:(Clock.of_engine engine) ~rng:(Rng.create ~seed:2) ~delay:Dangers_net.Delay.Zero ~nodes:2
+      ~clock:(Clock.of_engine engine) ~rng:(Rng.create ~seed:2) ~delay:Dangers_runtime.Delay.Zero ~nodes:2
       ~deliver:(fun ~src:_ ~dst:_ () -> incr received)
       ()
   in
@@ -119,7 +119,7 @@ let test_injector_duplicates_messages () =
   let network =
     Network.create
       ~faults:(Fault_injector.faults injector)
-      ~clock:(Clock.of_engine engine) ~rng:(Rng.create ~seed:2) ~delay:Dangers_net.Delay.Zero ~nodes:2
+      ~clock:(Clock.of_engine engine) ~rng:(Rng.create ~seed:2) ~delay:Dangers_runtime.Delay.Zero ~nodes:2
       ~deliver:(fun ~src:_ ~dst:_ () -> incr received)
       ()
   in
@@ -139,7 +139,7 @@ let test_injector_partition_parks_then_heals () =
   let network =
     Network.create
       ~faults:(Fault_injector.faults injector)
-      ~clock:(Clock.of_engine engine) ~rng:(Rng.create ~seed:2) ~delay:Dangers_net.Delay.Zero ~nodes:3
+      ~clock:(Clock.of_engine engine) ~rng:(Rng.create ~seed:2) ~delay:Dangers_runtime.Delay.Zero ~nodes:3
       ~deliver:(fun ~src:_ ~dst:_ label ->
         arrivals := (label, Engine.now engine) :: !arrivals)
       ()

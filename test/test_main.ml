@@ -28,6 +28,7 @@ let () =
       ("microbench", Test_microbench.suite);
       ("obs", Test_obs.suite);
       ("runtime", Test_runtime.suite);
+      ("serve", Test_serve.suite);
       ("telemetry", Test_telemetry.suite);
       ("lint", Test_lint.suite);
     ]

@@ -1,6 +1,6 @@
 (* Delay, Network, Connectivity tests. *)
 
-module Delay = Dangers_net.Delay
+module Delay = Dangers_runtime.Delay
 module Network = Dangers_net.Network
 module Connectivity = Dangers_net.Connectivity
 module Engine = Dangers_sim.Engine

@@ -8,7 +8,7 @@ module Fstore = Dangers_storage.Store.Fstore
 module Engine = Dangers_sim.Engine
 module Clock = Dangers_runtime.Clock
 module Network = Dangers_net.Network
-module Delay = Dangers_net.Delay
+module Delay = Dangers_runtime.Delay
 module Update_log = Dangers_storage.Update_log
 module Mode = Dangers_lock.Mode
 module Lock_table = Dangers_lock.Lock_table

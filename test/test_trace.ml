@@ -10,7 +10,7 @@ module Executor = Dangers_txn.Executor
 module Txn_id = Dangers_txn.Txn_id
 module Lock_manager = Dangers_lock.Lock_manager
 module Network = Dangers_net.Network
-module Delay = Dangers_net.Delay
+module Delay = Dangers_runtime.Delay
 module Rng = Dangers_util.Rng
 
 let checkb = Alcotest.check Alcotest.bool
