@@ -17,13 +17,12 @@
 
 module Params = Dangers_analytic.Params
 module Clock = Dangers_runtime.Clock
-module Metrics = Dangers_sim.Metrics
+module Obs = Dangers_obs.Metrics
 module Oid = Dangers_storage.Oid
 module Fstore = Dangers_storage.Store.Fstore
 module Op = Dangers_txn.Op
 module Connectivity = Dangers_net.Connectivity
 module Common = Dangers_replication.Common
-module Repl_stats = Dangers_replication.Repl_stats
 module Eager_group = Dangers_replication.Eager_group
 module Lazy_group = Dangers_replication.Lazy_group
 module Acceptance = Dangers_core.Acceptance
@@ -58,7 +57,7 @@ let eager_story () =
      was written - the conflict surfaced as a lock wait, never as \
      inconsistent books\n";
   Printf.printf "waits observed: %d; books identical: %b\n"
-    (Metrics.total_count base.Common.metrics Repl_stats.waits)
+    (Obs.counter_value base.Common.stats.waits)
     (Fstore.content_equal base.Common.stores.(0) base.Common.stores.(2))
 
 let lazy_story () =
@@ -72,7 +71,7 @@ let lazy_story () =
   Common.drain base;
   let balance = Fstore.read base.Common.stores.(2) account in
   let reconciliations =
-    Metrics.total_count base.Common.metrics Repl_stats.reconciliations
+    Obs.counter_value base.Common.stats.reconciliations
   in
   Printf.printf "bank ledger after convergence: $%.2f\n" balance;
   Printf.printf

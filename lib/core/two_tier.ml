@@ -11,8 +11,6 @@ module Txn_id = Dangers_txn.Txn_id
 module Executor = Dangers_txn.Executor
 module Lock_manager = Dangers_lock.Lock_manager
 module Clock = Dangers_runtime.Clock
-module Runtime = Dangers_runtime.Runtime
-module Metrics = Dangers_sim.Metrics
 module Rng = Dangers_util.Rng
 module Repl_stats = Dangers_replication.Repl_stats
 module Common = Dangers_replication.Common
@@ -45,6 +43,12 @@ type t = {
   unsafe_skip_acceptance : bool;
   reconcile_lag : Obs.histogram option;
       (* local-commit to base-replay delay of every replayed tentative txn *)
+  replica_txns : Obs.counter;
+  syncs : Obs.counter;
+  tentative_commits : Obs.counter;
+  tentative_accepted : Obs.counter;
+  tentative_rejected : Obs.counter;
+  scope_violations : Obs.counter;
 }
 
 let base t = t.common
@@ -70,7 +74,7 @@ let master_store t oid =
   else Mobile_node.master_store t.mobiles.(owner - t.base_count).record
 
 let deliver t ~src:_ ~dst updates =
-  Metrics.incr t.common.Common.metrics "replica_txns";
+  Obs.incr t.replica_txns;
   List.iter
     (fun u ->
       Timestamp.Clock.witness t.common.Common.clocks.(dst) u.su_stamp;
@@ -84,8 +88,8 @@ let deliver t ~src:_ ~dst updates =
             u.su_stamp
       in
       match outcome with
-      | `Applied -> Metrics.incr t.common.Common.metrics Repl_stats.replica_applied
-      | `Stale -> Metrics.incr t.common.Common.metrics Repl_stats.stale_discards)
+      | `Applied -> Obs.incr t.common.Common.stats.replica_applied
+      | `Stale -> Obs.incr t.common.Common.stats.stale_discards)
     updates
 
 (* One lazy slave transaction per node that does not master everything in
@@ -125,7 +129,7 @@ let prospective_results t ops =
 let run_base_transaction t ?(acceptance = Acceptance.Always)
     ?(tentative_results = []) ~ops ~on_done () =
   let common = t.common in
-  let metrics = common.Common.metrics in
+  let stats = common.Common.stats in
   let rec attempt () =
     let owner_id = Txn_id.Gen.next common.Common.txn_gen in
     let started = Clock.now common.Common.clock in
@@ -194,8 +198,8 @@ let run_base_transaction t ?(acceptance = Acceptance.Always)
             (* The base transaction aborts: no master copy changes. *)
             on_done (`Rejected reason))
       ~on_deadlock:(fun ~cycle:_ ->
-        Metrics.incr metrics Repl_stats.deadlocks;
-        Metrics.incr metrics Repl_stats.restarts;
+        Obs.incr stats.deadlocks;
+        Obs.incr stats.restarts;
         Clock.schedule_unit common.Common.clock
           ~delay:(Common.backoff_delay common t.retry_rng)
           attempt)
@@ -211,7 +215,7 @@ let finish_sync t mobile_index =
     Mobile_node.refresh_from m.record
       t.common.Common.stores.(host_of t mobile_index);
     m.needs_refresh <- false;
-    Metrics.incr t.common.Common.metrics "syncs";
+    Obs.incr t.syncs;
     List.iter (fun listener -> listener ~mobile:mobile_index) t.sync_listeners
   end
   else m.needs_refresh <- true
@@ -223,17 +227,16 @@ let rec replay t mobile_index = function
         ~tentative_results:txn.Tentative.tentative_results
         ~ops:txn.Tentative.ops
         ~on_done:(fun result ->
-          let metrics = t.common.Common.metrics in
           (match t.reconcile_lag with
           | None -> ()
           | Some h ->
               Obs.observe h
                 (Clock.now t.common.Common.clock -. txn.Tentative.committed_at));
           (match result with
-          | `Committed _ -> Metrics.incr metrics "tentative_accepted"
+          | `Committed _ -> Obs.incr t.tentative_accepted
           | `Rejected reason ->
-              Metrics.incr metrics "tentative_rejected";
-              Metrics.incr metrics Repl_stats.reconciliations;
+              Obs.incr t.tentative_rejected;
+              Obs.incr t.common.Common.stats.reconciliations;
               t.rejections_rev <- (txn, reason) :: t.rejections_rev);
           replay t mobile_index rest)
         ()
@@ -292,9 +295,8 @@ type submit_result =
   | `Scope_violation ]
 
 let submit_with t ~node ~on_result ops =
-  let metrics = t.common.Common.metrics in
   if not (scope_ok t ~node ops) then begin
-    Metrics.incr metrics "scope_violations";
+    Obs.incr t.scope_violations;
     on_result `Scope_violation
   end
   else if not (is_mobile t node) then
@@ -308,7 +310,7 @@ let submit_with t ~node ~on_result ops =
         ~on_done:(fun result -> on_result (result :> submit_result))
         ()
     else begin
-      Metrics.incr metrics "tentative_commits";
+      Obs.incr t.tentative_commits;
       ignore
         (Mobile_node.run_tentative m.record ~ops ~acceptance:t.acceptance
            ~now:(Clock.now t.common.Common.clock));
@@ -322,7 +324,7 @@ let on_sync t listener = t.sync_listeners <- listener :: t.sync_listeners
 
 let master_value t oid = Fstore.read (master_store t oid) oid
 
-let create ?obs ?runtime ?profile ?(initial_value = 0.)
+let create ?obs ?clock ?profile ?(initial_value = 0.)
     ?(acceptance = Acceptance.Always) ?(delay = Delay.Zero) ?faults ?mobility
     ?(mobile_owned_per_node = 0) ?(unsafe_skip_acceptance = false) ~base_nodes
     params ~seed =
@@ -333,7 +335,7 @@ let create ?obs ?runtime ?profile ?(initial_value = 0.)
     invalid_arg "Two_tier.create: negative mobile_owned_per_node";
   if mobile_owned_per_node * mobile_total >= params.Params.db_size then
     invalid_arg "Two_tier.create: mobile-owned blocks exceed the database";
-  let common = Common.make ?obs ?runtime ?profile ~initial_value params ~seed in
+  let common = Common.make ?obs ?clock ?profile ~initial_value params ~seed in
   let obs = common.Common.obs in
   let owner =
     Array.init params.Params.db_size (fun i ->
@@ -343,7 +345,7 @@ let create ?obs ?runtime ?profile ?(initial_value = 0.)
   in
   let base_executor =
     Executor.create
-      ~on_wait:(fun () -> Metrics.incr common.Common.metrics Repl_stats.waits)
+      ~on_wait:(fun () -> Obs.incr common.Common.stats.waits)
       ~clock:common.Common.clock
       ~locks:(Lock_manager.create ?obs ())
       ~action_time:params.Params.action_time ()
@@ -359,6 +361,7 @@ let create ?obs ?runtime ?profile ?(initial_value = 0.)
           needs_refresh = false;
         })
   in
+  let counter = Repl_stats.counter common.Common.metrics in
   let t =
     {
       common;
@@ -387,6 +390,12 @@ let create ?obs ?runtime ?profile ?(initial_value = 0.)
                 [| 0.1; 1.; 10.; 60.; 300.; 1800.; 3600.; 14400.; 86400. |]
               registry "two_tier.reconcile_lag_seconds")
           obs;
+      replica_txns = counter "replica_txns";
+      syncs = counter "syncs";
+      tentative_commits = counter "tentative_commits";
+      tentative_accepted = counter "tentative_accepted";
+      tentative_rejected = counter "tentative_rejected";
+      scope_violations = counter "scope_violations";
     }
   in
   (match obs with
@@ -468,13 +477,17 @@ let create ?obs ?runtime ?profile ?(initial_value = 0.)
 let start t = Common.start_generators t.common ~submit:(fun ~node ops -> submit t ~node ops)
 let stop_load t = Common.stop_generators t.common
 
-let summary t = Repl_stats.summarize ~scheme:"two-tier" t.common.Common.metrics
+let summary t = Common.summary t.common ~scheme:"two-tier"
 
 let set_node_connected t ~node state = Network.set_connected (network t) ~node state
 let flush_node t ~node = Network.flush_node (network t) ~node
 
-let tentative_accepted t = Metrics.total_count t.common.Common.metrics "tentative_accepted"
-let tentative_rejected t = Metrics.total_count t.common.Common.metrics "tentative_rejected"
+let replica_txns t = Obs.counter_value t.replica_txns
+let syncs t = Obs.counter_value t.syncs
+let tentative_commits t = Obs.counter_value t.tentative_commits
+let tentative_accepted t = Obs.counter_value t.tentative_accepted
+let tentative_rejected t = Obs.counter_value t.tentative_rejected
+let scope_violations t = Obs.counter_value t.scope_violations
 let rejection_log t = List.rev t.rejections_rev
 
 let connect_all t =

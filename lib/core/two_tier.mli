@@ -25,10 +25,11 @@
     objects mastered at base nodes or at the originating mobile; violations
     are counted and refused at submission.
 
-    Metrics: [Repl_stats.commits]/[waits]/[deadlocks]/[restarts] cover base
-    transactions; ["tentative_commits"], ["tentative_accepted"],
-    ["tentative_rejected"] (mirrored into [Repl_stats.reconciliations]),
-    ["scope_violations"], and ["syncs"] cover the mobile protocol. *)
+    Counters: the canonical {!Repl_stats.counters} [commits]/[waits]/
+    [deadlocks]/[restarts] cover base transactions; {!tentative_commits},
+    {!tentative_accepted}, {!tentative_rejected} (mirrored into
+    [reconciliations]), {!scope_violations} and {!syncs} cover the mobile
+    protocol, and {!replica_txns} the lazy slave updates. *)
 
 module Params = Dangers_analytic.Params
 module Profile = Dangers_workload.Profile
@@ -44,7 +45,7 @@ type t
 
 val create :
   ?obs:Dangers_obs.Metrics.t ->
-  ?runtime:Dangers_runtime.Runtime.t ->
+  ?clock:Dangers_runtime.Clock.t ->
   ?profile:Profile.t ->
   ?initial_value:float ->
   ?acceptance:Acceptance.t ->
@@ -59,9 +60,9 @@ val create :
   t
 (** Defaults: [Always] acceptance, zero delay, the Table 2 day-cycle
     mobility derived from [params] (fixed phases, staggered starts), no
-    mobile-mastered objects, and a fresh simulator runtime — pass
-    [Dangers_runtime.Runtime.live_wall] to run the identical scheme code
-    on the wall clock (the serving path). @raise Invalid_argument if [base_nodes] is not
+    mobile-mastered objects, and a fresh simulator clock — pass
+    [Dangers_runtime.Clock.of_live] to run the identical scheme code on
+    the wall clock (the serving path). @raise Invalid_argument if [base_nodes] is not
     in [1, params.nodes] or mobile-owned blocks exceed the database.
 
     [faults] plugs a fault injector into the slave-update network.
@@ -121,8 +122,17 @@ val start : t -> unit
 val stop_load : t -> unit
 val summary : t -> Repl_stats.summary
 
+(** {1 Counters}
+
+    Since-creation values of the scheme-specific counters. *)
+
+val replica_txns : t -> int
+val syncs : t -> int
+val tentative_commits : t -> int
 val tentative_accepted : t -> int
 val tentative_rejected : t -> int
+val scope_violations : t -> int
+
 val rejection_log : t -> (Tentative.t * string) list
 (** Every rejected tentative transaction with its §7 diagnostic, oldest
     first. *)

@@ -9,10 +9,8 @@ module Params = Dangers_analytic.Params
 module Eager = Dangers_analytic.Eager
 module Op = Dangers_txn.Op
 module Oid = Dangers_storage.Oid
-module Metrics = Dangers_sim.Metrics
 module Stats = Dangers_util.Stats
 module Common = Dangers_replication.Common
-module Repl_stats = Dangers_replication.Repl_stats
 module Eager_impl = Dangers_replication.Eager_impl
 module Lazy_group = Dangers_replication.Lazy_group
 
@@ -26,19 +24,13 @@ let eager_duration ~nodes ~seed =
   let sys = Eager_impl.create Eager_impl.Group (params_for nodes) ~seed in
   Eager_impl.submit sys ~node:0 ops;
   Common.drain (Eager_impl.base sys);
-  Stats.mean
-    (Metrics.sample_stats (Eager_impl.base sys).Common.metrics
-       Repl_stats.duration_sample)
+  Stats.mean (Eager_impl.base sys).Common.durations
 
 let lazy_counts ~nodes ~seed =
   let sys = Lazy_group.create (params_for nodes) ~seed in
   Lazy_group.submit sys ~node:0 ops;
   Common.drain (Lazy_group.base sys);
-  let metrics = (Lazy_group.base sys).Common.metrics in
-  let root_duration =
-    Stats.mean (Metrics.sample_stats metrics Repl_stats.duration_sample)
-  in
-  (root_duration, Metrics.total_count metrics "replica_txns")
+  (Stats.mean (Lazy_group.base sys).Common.durations, Lazy_group.replica_txns sys)
 
 let experiment =
   {

@@ -10,9 +10,8 @@ module Params = Dangers_analytic.Params
 module Model = Dangers_analytic.Model
 module Op = Dangers_txn.Op
 module Oid = Dangers_storage.Oid
-module Metrics = Dangers_sim.Metrics
 module Common = Dangers_replication.Common
-module Repl_stats = Dangers_replication.Repl_stats
+module Obs = Dangers_obs.Metrics
 module Eager_impl = Dangers_replication.Eager_impl
 module Lazy_group = Dangers_replication.Lazy_group
 module Lazy_master = Dangers_replication.Lazy_master
@@ -31,11 +30,11 @@ let params =
 let ops_for i =
   [ Op.Increment (Oid.of_int (6 * i), 1.); Op.Increment (Oid.of_int ((6 * i) + 3), 1.) ]
 
-let count_txns metrics =
-  let get name = Metrics.total_count metrics name in
-  float_of_int
-    (get Repl_stats.commits + get Repl_stats.restarts + get "replica_txns"
-   + get "tentative_commits")
+(* [extra]: the scheme's replica-update and tentative transactions. *)
+let count_txns ?(extra = 0) base =
+  let get = Obs.counter_value in
+  let stats = base.Common.stats in
+  float_of_int (get stats.commits + get stats.restarts + extra)
   /. float_of_int batch
 
 let measure_eager ownership ~seed =
@@ -44,7 +43,7 @@ let measure_eager ownership ~seed =
     Eager_impl.submit sys ~node:(i mod nodes) (ops_for i)
   done;
   Common.drain (Eager_impl.base sys);
-  count_txns (Eager_impl.base sys).Common.metrics
+  count_txns (Eager_impl.base sys)
 
 let measure_lazy_group ~seed =
   let sys = Lazy_group.create params ~seed in
@@ -52,7 +51,7 @@ let measure_lazy_group ~seed =
     Lazy_group.submit sys ~node:(i mod nodes) (ops_for i)
   done;
   Common.drain (Lazy_group.base sys);
-  count_txns (Lazy_group.base sys).Common.metrics
+  count_txns ~extra:(Lazy_group.replica_txns sys) (Lazy_group.base sys)
 
 let measure_lazy_master ~seed =
   let sys = Lazy_master.create params ~seed in
@@ -60,7 +59,7 @@ let measure_lazy_master ~seed =
     Lazy_master.submit sys ~node:(i mod nodes) (ops_for i)
   done;
   Common.drain (Lazy_master.base sys);
-  count_txns (Lazy_master.base sys).Common.metrics
+  count_txns ~extra:(Lazy_master.replica_txns sys) (Lazy_master.base sys)
 
 let measure_two_tier ~seed =
   (* One mobile, disconnected: every transaction is tentative, replayed at
@@ -89,7 +88,9 @@ let measure_two_tier ~seed =
       ]
   done;
   Two_tier.quiesce_and_sync sys;
-  count_txns (Two_tier.base sys).Common.metrics
+  count_txns
+    ~extra:(Two_tier.replica_txns sys + Two_tier.tentative_commits sys)
+    (Two_tier.base sys)
 
 let experiment =
   {

@@ -14,7 +14,6 @@ module Connectivity = Dangers_net.Connectivity
 module Repl_stats = Dangers_replication.Repl_stats
 module Acceptance = Dangers_core.Acceptance
 module Two_tier = Dangers_core.Two_tier
-module Metrics = Dangers_sim.Metrics
 module Common = Dangers_replication.Common
 module Experiment_ = Experiment
 

@@ -6,7 +6,6 @@ module Connectivity = Dangers_net.Connectivity
 module Delay = Dangers_runtime.Delay
 module Acceptance = Dangers_core.Acceptance
 module Common = Dangers_replication.Common
-module Metrics = Dangers_sim.Metrics
 module Stats = Dangers_util.Stats
 module Eager_impl = Dangers_replication.Eager_impl
 module Lazy_group_impl = Dangers_replication.Lazy_group
@@ -175,8 +174,7 @@ module Lazy_undo : SCHEME = struct
     Lazy_group_undo.stop_load sys;
     Lazy_group_undo.force_sync sys;
     let summary =
-      Repl_stats.summarize ~scheme:name
-        (Lazy_group_undo.base sys).Common.metrics
+      Common.summary (Lazy_group_undo.base sys) ~scheme:name
     in
     {
       summary;
@@ -221,13 +219,12 @@ module Two_tier : SCHEME = struct
        only meaningful after the final quiesce-and-sync. *)
     let summary = Two_tier_impl.summary sys in
     Two_tier_impl.quiesce_and_sync sys;
-    let metrics = (Two_tier_impl.base sys).Common.metrics in
     {
       summary;
       diagnostics =
         [
           ( "tentative_commits",
-            float_of_int (Metrics.total_count metrics "tentative_commits") );
+            float_of_int (Two_tier_impl.tentative_commits sys) );
           ( "tentative_accepted",
             float_of_int (Two_tier_impl.tentative_accepted sys) );
           ( "tentative_rejected",

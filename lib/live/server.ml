@@ -1,11 +1,9 @@
 module Clock = Dangers_runtime.Clock
-module Runtime = Dangers_runtime.Runtime
 module Live_clock = Dangers_runtime.Live_clock
 module Codec = Dangers_runtime.Codec
 module Params = Dangers_analytic.Params
 module Connectivity = Dangers_net.Connectivity
 module Two_tier = Dangers_core.Two_tier
-module Common = Dangers_replication.Common
 module Obs = Dangers_obs.Metrics
 module Json = Dangers_obs.Json
 module Timeseries = Dangers_obs.Timeseries
@@ -56,13 +54,11 @@ let log t fmt =
   else Printf.eprintf (fmt ^^ "\n%!")
 
 let scheme_stats t =
-  let metrics = (Two_tier.base t.sys).Common.metrics in
   {
     Protocol.commits = (Two_tier.summary t.sys).Dangers_replication.Repl_stats.commits;
     tentative_accepted = Two_tier.tentative_accepted t.sys;
     tentative_rejected = Two_tier.tentative_rejected t.sys;
-    scope_violations =
-      Dangers_sim.Metrics.total_count metrics "scope_violations";
+    scope_violations = Two_tier.scope_violations t.sys;
     warnings_total = Warnings.total ();
     warnings = Warnings.keys ();
   }
@@ -255,15 +251,14 @@ let serve config =
   Params.validate config.params;
   let obs = Obs.create () in
   let live = Live_clock.create () in
-  let runtime = Runtime.live_wall live in
+  let clock = Clock.of_live live in
   (* Mobility is client-driven over the protocol, not scheduled: the
      base-node spec never cycles, so [Set_connected]/[Sync] are the only
      connectivity levers. *)
   let sys =
-    Two_tier.create ~obs ~runtime ~mobility:Connectivity.base_node
+    Two_tier.create ~obs ~clock ~mobility:Connectivity.base_node
       ~base_nodes:config.base_nodes config.params ~seed:config.seed
   in
-  let clock = (Two_tier.base sys).Common.clock in
   (match Unix.stat config.socket_path with
   | _ -> Unix.unlink config.socket_path
   | exception Unix.Unix_error _ -> ());

@@ -7,7 +7,8 @@
    snapshot is built, so its hot path is untouched. Both land in the same
    snapshot. *)
 
-type counter = { c_name : string; mutable c_value : int }
+(* [c_base] is the value at the registry's last [start_window]. *)
+type counter = { c_name : string; mutable c_value : int; mutable c_base : int }
 type gauge = { g_name : string; mutable g_value : float }
 
 type histogram = {
@@ -41,13 +42,18 @@ let counter t name =
   match Hashtbl.find_opt t.counters name with
   | Some c -> c
   | None ->
-      let c = { c_name = name; c_value = 0 } in
+      let c = { c_name = name; c_value = 0; c_base = 0 } in
       Hashtbl.add t.counters name c;
       c
 
 let incr c = c.c_value <- c.c_value + 1
 let add c n = c.c_value <- c.c_value + n
 let counter_value c = c.c_value
+let window_value c = c.c_value - c.c_base
+
+let start_window t =
+  (* In-place rebase of every counter; no output depends on visit order. *)
+  (Hashtbl.iter (fun _ c -> c.c_base <- c.c_value) t.counters [@lint.allow "D2"])
 
 let gauge t name =
   match Hashtbl.find_opt t.gauges name with
@@ -98,6 +104,15 @@ let observe h x =
   h.h_sum <- h.h_sum +. x
 
 let register_source t f = t.sources <- f :: t.sources
+
+let forward_counters t ~into =
+  register_source into (fun () ->
+      (* Order-free: the snapshot merges counts by name and sorts. *)
+      (Hashtbl.fold
+         (fun name c acc ->
+           if c.c_value = 0 then acc else Count (name, c.c_value) :: acc)
+         t.counters [] [@lint.allow "D2"]))
+
 let record_phase t p = t.phases_rev <- p :: t.phases_rev
 
 (* --- snapshots --- *)

@@ -15,7 +15,10 @@
       leaving the component's hot path untouched.
 
     A registry belongs to one simulated system and is not thread-safe;
-    sweep workers each observe their own. *)
+    sweep workers each observe their own. Each simulated system also
+    keeps a private registry for its scheme counters, windowed by
+    {!start_window} and forwarded into the observed one by
+    {!forward_counters}. *)
 
 type t
 
@@ -31,6 +34,15 @@ val counter : t -> string -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 val counter_value : counter -> int
+(** The lifetime value. *)
+
+val window_value : counter -> int
+(** The value minus the value at the registry's last {!start_window}. *)
+
+val start_window : t -> unit
+(** Open a measurement window: every counter of [t] remembers its current
+    value as the base {!window_value} subtracts. Counters created later
+    start from 0. *)
 
 (** {1 Gauges} *)
 
@@ -68,6 +80,11 @@ type source_value = Count of string * int | Gauge of string * float
 val register_source : t -> (unit -> source_value list) -> unit
 (** Called at {!snapshot} time. Same-name [Count]s from different sources
     accumulate; same-name [Gauge]s keep the maximum. *)
+
+val forward_counters : t -> into:t -> unit
+(** Register a source on [into] that reports every nonzero counter of [t]
+    under its own name, so several systems sharing [into] show their sum
+    and a counter never bumped stays out of the snapshot. *)
 
 val record_phase : t -> Profiling.phase -> unit
 (** Append a profiled phase to the snapshot's phase list. *)

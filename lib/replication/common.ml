@@ -1,14 +1,13 @@
 module Params = Dangers_analytic.Params
 module Engine = Dangers_sim.Engine
 module Clock = Dangers_runtime.Clock
-module Runtime = Dangers_runtime.Runtime
-module Metrics = Dangers_sim.Metrics
 module Fstore = Dangers_storage.Store.Fstore
 module Timestamp = Dangers_storage.Timestamp
 module Txn_id = Dangers_txn.Txn_id
 module Profile = Dangers_workload.Profile
 module Generator = Dangers_workload.Generator
 module Rng = Dangers_util.Rng
+module Stats = Dangers_util.Stats
 module Obs = Dangers_obs.Metrics
 module Profiling = Dangers_obs.Profiling
 
@@ -16,9 +15,11 @@ type base = {
   params : Params.t;
   profile : Profile.t;
   initial_value : float;
-  runtime : Runtime.t;
   clock : Clock.t;
-  metrics : Metrics.t;
+  metrics : Obs.t;
+  stats : Repl_stats.counters;
+  durations : Stats.t;
+  mutable window_start : float;
   rng : Rng.t;
   stores : Fstore.t array;
   clocks : Timestamp.Clock.t array;
@@ -29,7 +30,7 @@ type base = {
   series : Dangers_obs.Timeseries.t option;
 }
 
-let make ?obs ?runtime ?profile ?(initial_value = 0.) params ~seed =
+let make ?obs ?clock ?profile ?(initial_value = 0.) params ~seed =
   Params.validate params;
   let profile =
     match profile with Some p -> p | None -> Profile.of_params params
@@ -46,15 +47,16 @@ let make ?obs ?runtime ?profile ?(initial_value = 0.) params ~seed =
   let series =
     match obs with None -> None | Some _ -> Dangers_sim.Observe.ambient_series ()
   in
-  let runtime =
-    match runtime with Some r -> r | None -> Runtime.sim ()
+  let clock =
+    match clock with
+    | Some c -> c
+    | None -> Clock.of_engine (Engine.create ())
   in
-  let clock = runtime.Runtime.clock in
-  (* Attach the ambient tracer unless the runtime came with one. *)
+  (* Attach the ambient tracer unless the clock came with one. *)
   (match (Dangers_sim.Observe.ambient_tracer (), Clock.tracer clock) with
   | Some tracer, None -> Clock.set_tracer clock (Some tracer)
   | (None | Some _), _ -> ());
-  let metrics = Metrics.create ~now:(fun () -> Clock.now clock) () in
+  let metrics = Obs.create () in
   (match obs with
   | None -> ()
   | Some registry ->
@@ -65,21 +67,19 @@ let make ?obs ?runtime ?profile ?(initial_value = 0.) params ~seed =
               ( "engine.queue_high_water",
                 float_of_int (Clock.queue_high_water clock) );
           ]);
-      (* The scheme's own simulated-time counters (commits, restarts,
-         replica_applied, ...), since-creation totals rather than the
-         measured window the paper-facing summary reports. *)
-      Obs.register_source registry (fun () ->
-          List.map
-            (fun name ->
-              Obs.Count ("scheme." ^ name ^ "_total", Metrics.total_count metrics name))
-            (Metrics.counter_names metrics)));
+      (* The scheme's own counters (commits, restarts, replica_applied,
+         ...), since-creation totals rather than the measured window the
+         paper-facing summary reports. *)
+      Obs.forward_counters metrics ~into:registry);
   {
     params;
     profile;
     initial_value;
-    runtime;
     clock;
     metrics;
+    stats = Repl_stats.counters metrics;
+    durations = Stats.create ();
+    window_start = Clock.now clock;
     rng = Rng.create ~seed;
     stores =
       Array.init params.Params.nodes (fun _ ->
@@ -115,9 +115,9 @@ let backoff_delay base rng =
   (0.5 +. Rng.float rng 1.0) *. duration
 
 let commit_duration base ~started =
-  Metrics.incr base.metrics Repl_stats.commits;
+  Obs.incr base.stats.commits;
   let duration = Clock.now base.clock -. started in
-  Metrics.sample base.metrics Repl_stats.duration_sample duration;
+  Stats.add base.durations duration;
   match base.commit_seconds with
   | None -> ()
   | Some h -> Obs.observe h duration
@@ -149,7 +149,8 @@ let start_series_sampling base series ~stop_at =
 
 let measure base ~warmup ~span =
   profiled base "warmup" (fun () -> Clock.run_for base.clock warmup);
-  Metrics.start_window base.metrics;
+  Obs.start_window base.metrics;
+  base.window_start <- Clock.now base.clock;
   (match base.series with
   | None -> ()
   | Some series ->
@@ -157,3 +158,8 @@ let measure base ~warmup ~span =
       start_series_sampling base series
         ~stop_at:(Clock.now base.clock +. span));
   profiled base "measured" (fun () -> Clock.run_for base.clock span)
+
+let summary base ~scheme =
+  Repl_stats.summarize ~scheme
+    ~window:(Clock.now base.clock -. base.window_start)
+    base.stats base.durations

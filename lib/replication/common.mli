@@ -1,12 +1,10 @@
-(** Shared scaffolding for the replication-scheme simulators: one engine,
-    one metrics registry, a replica store and Lamport clock per node,
-    per-node RNG splits, and the measured-window drill. *)
+(** Shared scaffolding for the replication-scheme simulators: one clock,
+    one scheme-counter registry, a replica store and Lamport clock per
+    node, per-node RNG splits, and the measured-window drill. *)
 
 module Params = Dangers_analytic.Params
 module Engine = Dangers_sim.Engine
 module Clock = Dangers_runtime.Clock
-module Runtime = Dangers_runtime.Runtime
-module Metrics = Dangers_sim.Metrics
 module Fstore = Dangers_storage.Store.Fstore
 module Timestamp = Dangers_storage.Timestamp
 module Txn_id = Dangers_txn.Txn_id
@@ -18,9 +16,13 @@ type base = {
   params : Params.t;
   profile : Profile.t;
   initial_value : float;
-  runtime : Runtime.t;  (** the execution runtime this system was built on *)
-  clock : Clock.t;  (** = [runtime.clock]; every event the scheme schedules *)
-  metrics : Metrics.t;
+  clock : Clock.t;  (** every event the scheme schedules *)
+  metrics : Dangers_obs.Metrics.t;
+      (** this system's own registry: the scheme counters, windowed by
+          {!measure} *)
+  stats : Repl_stats.counters;  (** the canonical handles in [metrics] *)
+  durations : Dangers_util.Stats.t;  (** committed transaction durations *)
+  mutable window_start : float;  (** clock time the window opened *)
   rng : Rng.t;
   stores : Fstore.t array;  (** one replica of the whole database per node *)
   clocks : Timestamp.Clock.t array;
@@ -39,17 +41,17 @@ type base = {
 
 val make :
   ?obs:Dangers_obs.Metrics.t ->
-  ?runtime:Runtime.t ->
+  ?clock:Clock.t ->
   ?profile:Profile.t -> ?initial_value:float -> Params.t -> seed:int -> base
 (** Validates the parameters. The profile defaults to the model's
     ([Profile.of_params]); every object starts at [initial_value]
-    (default 0). The runtime defaults to a fresh simulator
-    ([Runtime.sim ()]); pass [Runtime.live_wall] to run the same scheme
-    on the wall clock. When [obs] is given, pull
-    sources for the clock ([engine.events_fired_total],
-    [engine.queue_high_water]) and the scheme's simulated-time counters
-    ([scheme.*_total], since-creation totals) are registered, and
-    {!measure} records per-phase wall-clock and allocation profiles. *)
+    (default 0). The clock defaults to a fresh simulator engine's; pass
+    [Clock.of_live] to run the same scheme on the wall clock. When [obs]
+    is given, pull sources for the clock ([engine.events_fired_total],
+    [engine.queue_high_water]) and for [metrics] (its nonzero
+    [scheme.*_total] counters, since-creation totals) are registered on
+    it, and {!measure} records per-phase wall-clock and allocation
+    profiles. *)
 
 val start_generators : base -> submit:(node:int -> Dangers_txn.Op.t list -> unit) -> unit
 (** One Poisson generator per node at [params.tps], each on its own RNG
@@ -64,16 +66,19 @@ val backoff_delay : base -> Rng.t -> float
     the load. *)
 
 val commit_duration : base -> started:float -> unit
-(** Record a committed transaction's duration sample and bump the commit
+(** Record a committed transaction's duration and bump the commit
     counter. *)
 
 val drain : base -> unit
 (** Run the clock until no events remain (generators must be stopped). *)
 
 val measure : base -> warmup:float -> span:float -> unit
-(** Run [warmup] seconds, reset the metrics window, run [span] more. When
+(** Run [warmup] seconds, open the counter window, run [span] more. When
     a {!base.series} recorder is attached, it is rebased after warmup and
     sampled every [Timeseries.interval] simulated seconds across the
     measured window (never rescheduling past its end, so {!drain} still
     terminates). Detached runs schedule nothing and stay byte-identical
     to pre-telemetry behaviour. *)
+
+val summary : base -> scheme:string -> Repl_stats.summary
+(** The window opened by {!measure} (or since creation), read now. *)

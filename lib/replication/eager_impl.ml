@@ -5,7 +5,7 @@ module Oid = Dangers_storage.Oid
 module Engine = Dangers_sim.Engine
 module Clock = Dangers_runtime.Clock
 module Delay = Dangers_runtime.Delay
-module Metrics = Dangers_sim.Metrics
+module Obs = Dangers_obs.Metrics
 module Fstore = Dangers_storage.Store.Fstore
 module Timestamp = Dangers_storage.Timestamp
 module Txn_id = Dangers_txn.Txn_id
@@ -39,7 +39,7 @@ let create ?obs ?profile ?initial_value ?(delay = Delay.Zero)
   let locks = Lock_manager.create ?obs () in
   let executor =
     Executor.create
-      ~on_wait:(fun () -> Metrics.incr common.Common.metrics Repl_stats.waits)
+      ~on_wait:(fun () -> Obs.incr common.Common.stats.waits)
       ~clock:common.Common.clock ~locks
       ~action_time:params.Params.action_time ()
   in
@@ -87,7 +87,7 @@ let apply_everywhere t ~origin ops =
 
 let submit t ~node ops =
   let common = t.common in
-  let metrics = common.Common.metrics in
+  let stats = common.Common.stats in
   let build_steps () =
     List.concat_map
       (fun op ->
@@ -143,8 +143,8 @@ let submit t ~node ops =
         Common.commit_duration common ~started;
         match t.on_commit with Some f -> f ~node ops | None -> ())
       ~on_deadlock:(fun ~cycle:_ ->
-        Metrics.incr metrics Repl_stats.deadlocks;
-        Metrics.incr metrics Repl_stats.restarts;
+        Obs.incr stats.deadlocks;
+        Obs.incr stats.restarts;
         ignore
           (Clock.schedule common.Common.clock
              ~delay:(Common.backoff_delay common t.retry_rng)
@@ -155,5 +155,4 @@ let submit t ~node ops =
 let start t = Common.start_generators t.common ~submit:(fun ~node ops -> submit t ~node ops)
 let stop_load t = Common.stop_generators t.common
 
-let summary t =
-  Repl_stats.summarize ~scheme:(scheme_name t.ownership) t.common.Common.metrics
+let summary t = Common.summary t.common ~scheme:(scheme_name t.ownership)

@@ -7,7 +7,7 @@ module Delay = Dangers_runtime.Delay
 module Network = Dangers_net.Network
 module Engine = Dangers_sim.Engine
 module Clock = Dangers_runtime.Clock
-module Metrics = Dangers_sim.Metrics
+module Obs = Dangers_obs.Metrics
 module Fstore = Dangers_storage.Store.Fstore
 module Timestamp = Dangers_storage.Timestamp
 module Txn_id = Dangers_txn.Txn_id
@@ -24,6 +24,8 @@ type t = {
   expected : float array; (* initial_value + committed increment deltas *)
   mutable schedules : Connectivity.t list;
   mutable pending_installs : Clock.event_id list;
+  replica_txns : Obs.counter; (* replica-update transactions committed *)
+  replica_restarts : Obs.counter; (* ... and restarted as deadlock victims *)
 }
 
 let base t = t.common
@@ -39,7 +41,7 @@ let max_stamp a b = if Timestamp.newer a ~than:b then a else b
 (* Apply one incoming replica update at [dst], counting §4's outcomes. *)
 let apply_update t ~dst (u : Reconcile.update) =
   let common = t.common in
-  let metrics = common.Common.metrics in
+  let stats = common.Common.stats in
   let store = common.Common.stores.(dst) in
   Timestamp.Clock.witness common.Common.clocks.(dst) u.Reconcile.stamp;
   let current_stamp = Fstore.stamp store u.Reconcile.oid in
@@ -56,19 +58,19 @@ let apply_update t ~dst (u : Reconcile.update) =
   if is_additive_delta then begin
     (* Commutative discipline: always merge the delta, never overwrite with
        the absolute value — any application order yields the same sum. *)
-    if not chain_intact then Metrics.incr metrics Repl_stats.reconciliations;
+    if not chain_intact then Obs.incr stats.reconciliations;
     let delta = match u.Reconcile.delta with Some d -> d | None -> assert false in
     let current = Fstore.read store u.Reconcile.oid in
     Fstore.write store u.Reconcile.oid (current +. delta)
       (max_stamp current_stamp u.Reconcile.stamp);
-    Metrics.incr metrics Repl_stats.replica_applied
+    Obs.incr stats.replica_applied
   end
   else if chain_intact then begin
     Fstore.write store u.Reconcile.oid u.Reconcile.value u.Reconcile.stamp;
-    Metrics.incr metrics Repl_stats.replica_applied
+    Obs.incr stats.replica_applied
   end
   else begin
-    Metrics.incr metrics Repl_stats.reconciliations;
+    Obs.incr stats.reconciliations;
     let current_value = Fstore.read store u.Reconcile.oid in
     let stamp' = max_stamp current_stamp u.Reconcile.stamp in
     match Reconcile.resolve t.rule ~current_value ~current_stamp u with
@@ -95,10 +97,10 @@ let deliver t ~src:_ ~dst updates =
     in
     Executor.run t.executors.(dst) ~owner ~steps
       ~on_commit:(fun () ->
-        Metrics.incr common.Common.metrics "replica_txns";
+        Obs.incr t.replica_txns;
         List.iter (apply_update t ~dst) updates)
       ~on_deadlock:(fun ~cycle:_ ->
-        Metrics.incr common.Common.metrics "replica_restarts";
+        Obs.incr t.replica_restarts;
         ignore
           (Clock.schedule common.Common.clock
              ~delay:(Common.backoff_delay common t.retry_rng)
@@ -160,8 +162,8 @@ let submit t ~node ops =
         root_commit t ~node ops;
         Common.commit_duration common ~started)
       ~on_deadlock:(fun ~cycle:_ ->
-        Metrics.incr common.Common.metrics Repl_stats.deadlocks;
-        Metrics.incr common.Common.metrics Repl_stats.restarts;
+        Obs.incr common.Common.stats.deadlocks;
+        Obs.incr common.Common.stats.restarts;
         ignore
           (Clock.schedule common.Common.clock
              ~delay:(Common.backoff_delay common t.retry_rng)
@@ -176,7 +178,7 @@ let create ?obs ?profile ?initial_value ?(rule = Reconcile.Timestamp_priority)
   let executors =
     Array.init params.Params.nodes (fun _ ->
         Executor.create
-          ~on_wait:(fun () -> Metrics.incr common.Common.metrics Repl_stats.waits)
+          ~on_wait:(fun () -> Obs.incr common.Common.stats.waits)
           ~clock:common.Common.clock
           ~locks:(Lock_manager.create ?obs ())
           ~action_time:params.Params.action_time ())
@@ -192,6 +194,8 @@ let create ?obs ?profile ?initial_value ?(rule = Reconcile.Timestamp_priority)
       expected = Array.make params.Params.db_size init_value;
       schedules = [];
       pending_installs = [];
+      replica_txns = Repl_stats.counter common.Common.metrics "replica_txns";
+      replica_restarts = Repl_stats.counter common.Common.metrics "replica_restarts";
     }
   in
   let network =
@@ -232,7 +236,8 @@ let create ?obs ?profile ?initial_value ?(rule = Reconcile.Timestamp_priority)
 let start t = Common.start_generators t.common ~submit:(fun ~node ops -> submit t ~node ops)
 let stop_load t = Common.stop_generators t.common
 
-let summary t = Repl_stats.summarize ~scheme:"lazy-group" t.common.Common.metrics
+let summary t = Common.summary t.common ~scheme:"lazy-group"
+let replica_txns t = Obs.counter_value t.replica_txns
 
 let expected_sum t oid = t.expected.(Oid.to_int oid)
 

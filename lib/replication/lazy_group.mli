@@ -55,6 +55,9 @@ val start : t -> unit
 val stop_load : t -> unit
 val summary : t -> Repl_stats.summary
 
+val replica_txns : t -> int
+(** Replica-update transactions committed since creation. *)
+
 val expected_sum : t -> Oid.t -> float
 (** For increment workloads: [initial_value] plus every committed
     increment's delta — the value every replica must converge to when no

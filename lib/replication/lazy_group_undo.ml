@@ -7,7 +7,7 @@ module Delay = Dangers_runtime.Delay
 module Network = Dangers_net.Network
 module Engine = Dangers_sim.Engine
 module Clock = Dangers_runtime.Clock
-module Metrics = Dangers_sim.Metrics
+module Obs = Dangers_obs.Metrics
 module Fstore = Dangers_storage.Store.Fstore
 module Timestamp = Dangers_storage.Timestamp
 module Rng = Dangers_util.Rng
@@ -43,8 +43,8 @@ type t = {
   (* Receiver-side pre-images for possible backout, per (node, txn). *)
   applied : (int * int, (Oid.t * float * Timestamp.t) list) Hashtbl.t;
   mutable next_txn : int;
-  mutable durable_count : int;
-  mutable undone_count : int;
+  durable : Obs.counter;
+  undone : Obs.counter;
   lag : Stats.t;
   mutable schedules : Connectivity.t list;
   mutable pending_installs : Clock.event_id list;
@@ -62,8 +62,7 @@ let revert store undo_list =
 let finish_undo t txn pending =
   if not pending.p_aborted then begin
     pending.p_aborted <- true;
-    t.undone_count <- t.undone_count + 1;
-    Metrics.incr t.common.Common.metrics "undone";
+    Obs.incr t.undone;
     revert t.common.Common.stores.(pending.p_origin) pending.p_undo;
     (* Tell everyone who might have applied it to back it out. *)
     Network.broadcast (network t) ~src:pending.p_origin
@@ -93,7 +92,7 @@ let handle_replicate t ~src ~dst ~txn updates =
     Network.send (network t) ~src:dst ~dst:src (Ack txn)
   end
   else begin
-    Metrics.incr t.common.Common.metrics Repl_stats.reconciliations;
+    Obs.incr t.common.Common.stats.reconciliations;
     Network.send (network t) ~src:dst ~dst:src (Nack txn)
   end
 
@@ -129,8 +128,7 @@ let deliver t ~src ~dst message =
             (not pending.p_aborted)
             && pending.p_acks = t.common.Common.params.Params.nodes - 1
           then begin
-            t.durable_count <- t.durable_count + 1;
-            Metrics.incr t.common.Common.metrics "durable";
+            Obs.incr t.durable;
             Stats.add t.lag
               (Clock.now t.common.Common.clock -. pending.p_committed_at);
             Hashtbl.remove t.pending txn
@@ -178,7 +176,7 @@ let submit t ~node ops =
         p_acks = 0;
         p_aborted = false;
       };
-    Metrics.incr t.common.Common.metrics Repl_stats.commits;
+    Obs.incr t.common.Common.stats.commits;
     Network.broadcast (network t) ~src:node
       (Replicate { txn; updates = List.rev !updates })
   end
@@ -193,8 +191,8 @@ let create ?obs ?profile ?initial_value ?mobility ?mobile_nodes params ~seed =
       pending = Hashtbl.create 256;
       applied = Hashtbl.create 256;
       next_txn = 0;
-      durable_count = 0;
-      undone_count = 0;
+      durable = Repl_stats.counter common.Common.metrics "durable";
+      undone = Repl_stats.counter common.Common.metrics "undone";
       lag = Stats.create ();
       schedules = [];
       pending_installs = [];
@@ -240,9 +238,9 @@ let create ?obs ?profile ?initial_value ?mobility ?mobile_nodes params ~seed =
 let start t = Common.start_generators t.common ~submit:(fun ~node ops -> submit t ~node ops)
 let stop_load t = Common.stop_generators t.common
 
-let durable t = t.durable_count
+let durable t = Obs.counter_value t.durable
 let tentative_outstanding t = Hashtbl.length t.pending
-let undone t = t.undone_count
+let undone t = Obs.counter_value t.undone
 let durability_lag t = t.lag
 
 let force_sync t =

@@ -6,7 +6,7 @@ module Delay = Dangers_runtime.Delay
 module Network = Dangers_net.Network
 module Engine = Dangers_sim.Engine
 module Clock = Dangers_runtime.Clock
-module Metrics = Dangers_sim.Metrics
+module Obs = Dangers_obs.Metrics
 module Fstore = Dangers_storage.Store.Fstore
 module Timestamp = Dangers_storage.Timestamp
 module Txn_id = Dangers_txn.Txn_id
@@ -24,6 +24,7 @@ type t = {
   mutable network : slave_update list Network.t option;
   retry_rng : Rng.t;
   assignment : master_assignment;
+  replica_txns : Obs.counter; (* slave transactions delivered *)
 }
 
 let base t = t.common
@@ -41,15 +42,15 @@ let network t =
    Thomas write rule. *)
 let deliver t ~src:_ ~dst (updates : slave_update list) =
   let common = t.common in
-  Metrics.incr common.Common.metrics "replica_txns";
+  Obs.incr t.replica_txns;
   List.iter
     (fun u ->
       Timestamp.Clock.witness common.Common.clocks.(dst) u.stamp;
       match
         Fstore.apply_if_newer common.Common.stores.(dst) u.oid u.value u.stamp
       with
-      | `Applied -> Metrics.incr common.Common.metrics Repl_stats.replica_applied
-      | `Stale -> Metrics.incr common.Common.metrics Repl_stats.stale_discards)
+      | `Applied -> Obs.incr common.Common.stats.replica_applied
+      | `Stale -> Obs.incr common.Common.stats.stale_discards)
     updates
 
 let master_commit t ~origin ops =
@@ -102,8 +103,8 @@ let submit t ~node ops =
         master_commit t ~origin:node ops;
         Common.commit_duration common ~started)
       ~on_deadlock:(fun ~cycle:_ ->
-        Metrics.incr common.Common.metrics Repl_stats.deadlocks;
-        Metrics.incr common.Common.metrics Repl_stats.restarts;
+        Obs.incr common.Common.stats.deadlocks;
+        Obs.incr common.Common.stats.restarts;
         ignore
           (Clock.schedule common.Common.clock
              ~delay:(Common.backoff_delay common t.retry_rng)
@@ -121,7 +122,7 @@ let create ?obs ?profile ?initial_value ?(delay = Delay.Zero)
   let obs = common.Common.obs in
   let master_executor =
     Executor.create
-      ~on_wait:(fun () -> Metrics.incr common.Common.metrics Repl_stats.waits)
+      ~on_wait:(fun () -> Obs.incr common.Common.stats.waits)
       ~clock:common.Common.clock
       ~locks:(Lock_manager.create ?obs ())
       ~action_time:params.Params.action_time ()
@@ -133,6 +134,7 @@ let create ?obs ?profile ?initial_value ?(delay = Delay.Zero)
       network = None;
       retry_rng = Rng.split common.Common.rng;
       assignment = master_assignment;
+      replica_txns = Repl_stats.counter common.Common.metrics "replica_txns";
     }
   in
   t.network <-
@@ -145,4 +147,5 @@ let create ?obs ?profile ?initial_value ?(delay = Delay.Zero)
 let start t = Common.start_generators t.common ~submit:(fun ~node ops -> submit t ~node ops)
 let stop_load t = Common.stop_generators t.common
 
-let summary t = Repl_stats.summarize ~scheme:"lazy-master" t.common.Common.metrics
+let summary t = Common.summary t.common ~scheme:"lazy-master"
+let replica_txns t = Obs.counter_value t.replica_txns

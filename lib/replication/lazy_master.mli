@@ -46,3 +46,6 @@ val submit : t -> node:int -> Op.t list -> unit
 val start : t -> unit
 val stop_load : t -> unit
 val summary : t -> Repl_stats.summary
+
+val replica_txns : t -> int
+(** Slave transactions delivered since creation. *)

@@ -5,7 +5,6 @@ module Engine = Dangers_sim.Engine
 module Clock = Dangers_runtime.Clock
 module Par_engine = Dangers_sim.Par_engine
 module Observe = Dangers_sim.Observe
-module Metrics = Dangers_sim.Metrics
 module Fstore = Dangers_storage.Store.Fstore
 module Oid = Dangers_storage.Oid
 module Timestamp = Dangers_storage.Timestamp
@@ -13,6 +12,7 @@ module Op = Dangers_txn.Op
 module Delay = Dangers_runtime.Delay
 module Network = Dangers_net.Network
 module Rng = Dangers_util.Rng
+module Stats = Dangers_util.Stats
 module Domain_pool = Dangers_util.Domain_pool
 module Obs = Dangers_obs.Metrics
 module Profiling = Dangers_obs.Profiling
@@ -55,7 +55,12 @@ type txn = {
 type node = {
   id : int;
   engine : Engine.t;
-  metrics : Metrics.t;
+  metrics : Obs.t;  (* this node's scheme counters *)
+  stats : Repl_stats.counters;
+  probes : Obs.counter;
+  apply_dropped : Obs.counter;
+  timeout_aborts : Obs.counter;
+  durations : Stats.t;
   store : Fstore.t;
   lamport : Timestamp.Clock.t;
   locks : (int, entry) Hashtbl.t;
@@ -76,14 +81,10 @@ type t = {
   nodes : node array;
   par : msg Par_engine.t;
   mutable generators : Generator.t list;
+  mutable window_start : float;  (* node 0's engine time *)
 }
 
 let scheme_name = "par-eager-group"
-
-(* Extra counters beyond the shared Repl_stats names. *)
-let c_timeout_aborts = "timeout_aborts"
-let c_probes = "deadlock_probes"
-let c_apply_dropped = "apply_dropped"
 
 let node_count t = Array.length t.nodes
 
@@ -194,14 +195,14 @@ and probe_blockers t site ~waiter ~holders =
   List.iter
     (fun blocker ->
       if not (owner_equal blocker waiter) then begin
-        Metrics.incr site.metrics c_probes;
+        Obs.incr site.probes;
         send t ~src:site.id ~dst:blocker.home
           (Probe { initiator = waiter; subject = blocker; ttl = 2 * node_count t })
       end)
     holders
 
 and blocked t site ~owner ~holders =
-  Metrics.incr site.metrics Repl_stats.waits;
+  Obs.incr site.stats.waits;
   probe_blockers t site ~waiter:owner ~holders
 
 and handle t ~src ~dst msg =
@@ -220,8 +221,8 @@ and handle t ~src ~dst msg =
         (fun (oid, value, stamp) ->
           Timestamp.Clock.witness node.lamport stamp;
           match Fstore.apply_if_newer node.store (Oid.of_int oid) value stamp with
-          | `Applied -> Metrics.incr node.metrics Repl_stats.replica_applied
-          | `Stale -> Metrics.incr node.metrics Repl_stats.stale_discards)
+          | `Applied -> Obs.incr node.stats.replica_applied
+          | `Stale -> Obs.incr node.stats.stale_discards)
         writes;
       release_owner node owner ~grant:(fun ~oid o -> granted t node ~oid o)
   | Release { owner } ->
@@ -251,7 +252,7 @@ and handle t ~src ~dst msg =
                   if owner_equal holder initiator then
                     send t ~src:dst ~dst:initiator.home (Victim { owner = initiator })
                   else begin
-                    Metrics.incr node.metrics c_probes;
+                    Obs.incr node.probes;
                     send t ~src:dst ~dst:holder.home
                       (Probe { initiator; subject = holder; ttl = ttl - 1 })
                   end)
@@ -264,7 +265,7 @@ and handle t ~src ~dst msg =
             (* Still blocked: a genuine cycle. Already granted everything:
                the probe is stale; let it run. *)
             if (not txn.t_done) && txn.t_awaiting <> [] then begin
-              Metrics.incr node.metrics Repl_stats.deadlocks;
+              Obs.incr node.stats.deadlocks;
               abort_and_retry t node txn
             end)
 
@@ -342,9 +343,8 @@ and commit t node txn =
   in
   release_owner node txn.t_owner ~grant:(fun ~oid o -> granted t node ~oid o);
   broadcast_apply t node ~owner:txn.t_owner ~writes;
-  Metrics.incr node.metrics Repl_stats.commits;
-  Metrics.sample node.metrics Repl_stats.duration_sample
-    (Engine.now node.engine -. txn.t_started)
+  Obs.incr node.stats.commits;
+  Stats.add node.durations (Engine.now node.engine -. txn.t_started)
 
 and broadcast_apply t node ~owner ~writes =
   let apply = Commit_apply { owner; writes } in
@@ -362,14 +362,14 @@ and broadcast_apply t node ~owner ~writes =
             (* Partitioned link: the update is lost to this replica, but
                its locks must still release — the control plane is
                reliable (see the mli). *)
-            Metrics.incr node.metrics c_apply_dropped;
+            Obs.incr node.apply_dropped;
             post (Release { owner })
           end
           else begin
             match faults.Network.on_transmit ~src:node.id ~dst with
             | Network.Pass -> post apply
             | Network.Drop ->
-                Metrics.incr node.metrics c_apply_dropped;
+                Obs.incr node.apply_dropped;
                 post (Release { owner })
             | Network.Duplicate ->
                 post apply;
@@ -390,7 +390,7 @@ and finish_txn _t node txn =
 
 and abort_and_retry t node txn =
   finish_txn t node txn;
-  Metrics.incr node.metrics Repl_stats.restarts;
+  Obs.incr node.stats.restarts;
   release_owner node txn.t_owner ~grant:(fun ~oid o -> granted t node ~oid o);
   for dst = 0 to node_count t - 1 do
     if dst <> node.id then send t ~src:node.id ~dst (Release { owner = txn.t_owner })
@@ -426,7 +426,7 @@ and start_txn t node ops =
       (Engine.schedule node.engine ~delay:(lock_timeout t) (fun () ->
            if not txn.t_done then
              if txn.t_awaiting <> [] then begin
-               Metrics.incr node.metrics c_timeout_aborts;
+               Obs.incr node.timeout_aborts;
                abort_and_retry t node txn
              end
              else
@@ -460,11 +460,18 @@ let create ?profile ?(initial_value = 0.) ?delay ?faults params ~seed =
   let nodes =
     Array.init params.Params.nodes (fun id ->
         let rng = Rng.split root in
+        let metrics = Obs.create () in
+        let counter = Repl_stats.counter metrics in
         let node =
           {
             id;
             engine = Par_engine.engine par id;
-            metrics = Metrics.of_engine (Par_engine.engine par id);
+            metrics;
+            stats = Repl_stats.counters metrics;
+            probes = counter "deadlock_probes";
+            apply_dropped = counter "apply_dropped";
+            timeout_aborts = counter "timeout_aborts";
+            durations = Stats.create ();
             store =
               Fstore.create ~db_size:params.Params.db_size ~init:(fun _ ->
                   initial_value);
@@ -481,7 +488,8 @@ let create ?profile ?(initial_value = 0.) ?delay ?faults params ~seed =
         node)
   in
   let t =
-    { params; profile; delay; lookahead; faults; nodes; par; generators = [] }
+    { params; profile; delay; lookahead; faults; nodes; par; generators = [];
+      window_start = 0. }
   in
   (match obs with
   | None -> ()
@@ -496,12 +504,7 @@ let create ?profile ?(initial_value = 0.) ?delay ?faults params ~seed =
                   ( "engine.queue_high_water",
                     float_of_int (Engine.queue_high_water node.engine) );
               ]);
-          Obs.register_source registry (fun () ->
-              List.map
-                (fun name ->
-                  Obs.Count
-                    ("scheme." ^ name ^ "_total", Metrics.total_count node.metrics name))
-                (Metrics.counter_names node.metrics)))
+          Obs.forward_counters node.metrics ~into:registry)
         nodes);
   Par_engine.set_handler par (fun ~src ~dst ~time msg ->
       ignore
@@ -546,7 +549,8 @@ let measure ?(domains = 1) t ~warmup ~span =
   with_pool ~domains (fun pool ->
       profiled t "warmup" (fun () ->
           Par_engine.run ?pool t.par ~until:warmup);
-      Array.iter (fun node -> Metrics.start_window node.metrics) t.nodes;
+      Array.iter (fun node -> Obs.start_window node.metrics) t.nodes;
+      t.window_start <- Engine.now t.nodes.(0).engine;
       profiled t "measured" (fun () ->
           Par_engine.run ?pool t.par ~until:(warmup +. span)))
 
@@ -555,24 +559,23 @@ let quiesce ?(domains = 1) ?(max_events = 200_000_000) t =
   with_pool ~domains (fun pool -> Par_engine.run ?pool ~max_events t.par)
 
 let summary t =
-  let sum name =
+  let sum counter =
     Array.fold_left
-      (fun acc node -> acc + Metrics.count node.metrics name)
+      (fun acc node -> acc + Obs.window_value (counter node.stats))
       0 t.nodes
   in
-  let window = Metrics.window_elapsed t.nodes.(0).metrics in
+  let window = Engine.now t.nodes.(0).engine -. t.window_start in
   let rate count =
     if window <= 0. then 0. else float_of_int count /. window
   in
-  let commits = sum Repl_stats.commits in
-  let waits = sum Repl_stats.waits in
-  let deadlocks = sum Repl_stats.deadlocks in
-  let restarts = sum Repl_stats.restarts in
+  let commits = sum (fun s -> s.commits) in
+  let waits = sum (fun s -> s.waits) in
+  let deadlocks = sum (fun s -> s.deadlocks) in
+  let restarts = sum (fun s -> s.restarts) in
   let duration_total, duration_count =
     Array.fold_left
       (fun (total, count) node ->
-        let s = Metrics.sample_stats node.metrics Repl_stats.duration_sample in
-        (total +. Dangers_util.Stats.total s, count + Dangers_util.Stats.count s))
+        (total +. Stats.total node.durations, count + Stats.count node.durations))
       (0., 0) t.nodes
   in
   {
@@ -593,9 +596,9 @@ let summary t =
   }
 
 let diagnostics t =
-  let sum name =
+  let sum counter =
     Array.fold_left
-      (fun acc node -> acc + Metrics.total_count node.metrics name)
+      (fun acc node -> acc + Obs.counter_value (counter node))
       0 t.nodes
   in
   [
@@ -603,9 +606,9 @@ let diagnostics t =
     ("lookahead_stalls", float_of_int (Par_engine.stalls t.par));
     ("null_messages", float_of_int (Par_engine.null_messages t.par));
     ("channel_posts", float_of_int (Par_engine.posts_total t.par));
-    ("deadlock_probes", float_of_int (sum c_probes));
-    ("timeout_aborts", float_of_int (sum c_timeout_aborts));
-    ("apply_dropped", float_of_int (sum c_apply_dropped));
+    ("deadlock_probes", float_of_int (sum (fun n -> n.probes)));
+    ("timeout_aborts", float_of_int (sum (fun n -> n.timeout_aborts)));
+    ("apply_dropped", float_of_int (sum (fun n -> n.apply_dropped)));
   ]
 
 let converged t =

@@ -1,15 +1,29 @@
-module Metrics = Dangers_sim.Metrics
+module Obs = Dangers_obs.Metrics
 module Stats = Dangers_util.Stats
 
-let commits = "commits"
-let waits = "waits"
-let deadlocks = "deadlocks"
-let restarts = "restarts"
-let reconciliations = "reconciliations"
-let replica_applied = "replica_applied"
-let stale_discards = "stale_discards"
-let lost_updates = "lost_updates"
-let duration_sample = "txn_duration"
+type counters = {
+  commits : Obs.counter;
+  waits : Obs.counter;
+  deadlocks : Obs.counter;
+  restarts : Obs.counter;
+  reconciliations : Obs.counter;
+  replica_applied : Obs.counter;
+  stale_discards : Obs.counter;
+}
+
+let counter registry name = Obs.counter registry ("scheme." ^ name ^ "_total")
+
+let counters registry =
+  let c = counter registry in
+  {
+    commits = c "commits";
+    waits = c "waits";
+    deadlocks = c "deadlocks";
+    restarts = c "restarts";
+    reconciliations = c "reconciliations";
+    replica_applied = c "replica_applied";
+    stale_discards = c "stale_discards";
+  }
 
 type summary = {
   scheme : string;
@@ -26,20 +40,24 @@ type summary = {
   mean_duration : float;
 }
 
-let summarize ~scheme metrics =
+let summarize ~scheme ~window (c : counters) durations =
+  let count = Obs.window_value in
+  let rate counter =
+    if window <= 0. then 0. else float_of_int (count counter) /. window
+  in
   {
     scheme;
-    window = Metrics.window_elapsed metrics;
-    commits = Metrics.count metrics commits;
-    waits = Metrics.count metrics waits;
-    deadlocks = Metrics.count metrics deadlocks;
-    restarts = Metrics.count metrics restarts;
-    reconciliations = Metrics.count metrics reconciliations;
-    commit_rate = Metrics.rate metrics commits;
-    wait_rate = Metrics.rate metrics waits;
-    deadlock_rate = Metrics.rate metrics deadlocks;
-    reconciliation_rate = Metrics.rate metrics reconciliations;
-    mean_duration = Stats.mean (Metrics.sample_stats metrics duration_sample);
+    window;
+    commits = count c.commits;
+    waits = count c.waits;
+    deadlocks = count c.deadlocks;
+    restarts = count c.restarts;
+    reconciliations = count c.reconciliations;
+    commit_rate = rate c.commits;
+    wait_rate = rate c.waits;
+    deadlock_rate = rate c.deadlocks;
+    reconciliation_rate = rate c.reconciliations;
+    mean_duration = Stats.mean durations;
   }
 
 let pp_summary ppf s =

@@ -1,39 +1,38 @@
-(** Canonical metric names and the per-run summary every scheme reports.
+(** The canonical scheme counters and the per-run summary every scheme
+    reports.
 
-    All schemes increment the same counter names in their {!Dangers_sim.Metrics.t},
-    so experiments can compare them without per-scheme plumbing. *)
+    Every simulated system owns a {!Dangers_obs.Metrics} registry; all
+    schemes bump the same canonical handles in it, resolved once at
+    construction, so experiments can compare them without per-scheme
+    plumbing. A counter [name] is registered as [scheme.<name>_total],
+    the name snapshots export. *)
 
-(** {1 Counter names} *)
+module Obs = Dangers_obs.Metrics
 
-val commits : string
-(** User (root / master / base) transactions committed. *)
+(** {1 Counters} *)
 
-val waits : string
-(** Lock requests that blocked. *)
+type counters = {
+  commits : Obs.counter;
+      (** User (root / master / base) transactions committed. *)
+  waits : Obs.counter;  (** Lock requests that blocked. *)
+  deadlocks : Obs.counter;  (** Transactions killed as deadlock victims. *)
+  restarts : Obs.counter;  (** Deadlock victims resubmitted. *)
+  reconciliations : Obs.counter;
+      (** Dangerous lazy-group updates (timestamp-chain mismatches) that
+          needed a reconciliation rule, and two-tier base transactions
+          failing acceptance. *)
+  replica_applied : Obs.counter;
+      (** Replica updates applied at a non-originating node. *)
+  stale_discards : Obs.counter;
+      (** Replica updates ignored because the replica already had a newer
+          timestamp (lazy-master §5). *)
+}
 
-val deadlocks : string
-(** Transactions killed as deadlock victims. *)
+val counter : Obs.t -> string -> Obs.counter
+(** [counter registry name] is [registry]'s [scheme.<name>_total]; schemes
+    resolve their own extra counters with it. *)
 
-val restarts : string
-(** Deadlock victims resubmitted. *)
-
-val reconciliations : string
-(** Dangerous lazy-group updates (timestamp-chain mismatches) that needed a
-    reconciliation rule, and two-tier base transactions failing acceptance. *)
-
-val replica_applied : string
-(** Replica updates applied at a non-originating node. *)
-
-val stale_discards : string
-(** Replica updates ignored because the replica already had a newer
-    timestamp (lazy-master §5). *)
-
-val lost_updates : string
-(** Updates whose effect is absent from the converged state (§6's lost
-    update problem). *)
-
-val duration_sample : string
-(** Sample-stream name for committed user-transaction durations. *)
+val counters : Obs.t -> counters
 
 (** {1 Summary} *)
 
@@ -52,7 +51,9 @@ type summary = {
   mean_duration : float;  (** mean committed transaction duration, seconds *)
 }
 
-val summarize : scheme:string -> Dangers_sim.Metrics.t -> summary
-(** Read the current measurement window. *)
+val summarize :
+  scheme:string -> window:float -> counters -> Dangers_util.Stats.t -> summary
+(** The counters' window values (see {!Obs.window_value}) over [window]
+    seconds, and the mean of the committed durations. *)
 
 val pp_summary : Format.formatter -> summary -> unit

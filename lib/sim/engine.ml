@@ -1,7 +1,7 @@
 (* The event queue is the hottest loop of every simulation: an eager run at
    nodes=10 fires tens of millions of events. The engine therefore keeps its
    own inline binary min-heap over parallel arrays instead of a generic
-   [Heap.t] of event records:
+   polymorphic heap of event records:
 
    - [times] is a plain [float array] (unboxed floats), so the key compare
      in sift operations is a raw float compare, not two closure calls into a

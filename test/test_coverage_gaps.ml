@@ -7,7 +7,7 @@ module Timestamp = Dangers_storage.Timestamp
 module Store = Dangers_storage.Store
 module Engine = Dangers_sim.Engine
 module Clock = Dangers_runtime.Clock
-module Metrics = Dangers_sim.Metrics
+module Obs = Dangers_obs.Metrics
 module Connectivity = Dangers_net.Connectivity
 module Delay = Dangers_runtime.Delay
 module Params = Dangers_analytic.Params
@@ -138,19 +138,23 @@ let test_custom_rule_and_acceptance () =
 (* --- Repl_stats pretty-printer and metrics odds and ends --- *)
 
 let test_summary_pp_and_metrics_names () =
-  let engine = Engine.create () in
-  let metrics = Metrics.of_engine engine in
-  Metrics.incr metrics Repl_stats.commits;
-  Metrics.incr metrics Repl_stats.waits;
-  ignore (Engine.schedule engine ~delay:2. (fun () -> ()));
-  Engine.run engine;
-  let summary = Repl_stats.summarize ~scheme:"test" metrics in
+  let metrics = Obs.create () in
+  let stats = Repl_stats.counters metrics in
+  Obs.incr stats.commits;
+  Obs.incr stats.waits;
+  let summary =
+    Repl_stats.summarize ~scheme:"test" ~window:2. stats
+      (Dangers_util.Stats.create ())
+  in
   let rendered = Format.asprintf "%a" Repl_stats.pp_summary summary in
   checkb "pp mentions scheme" true (String.length rendered > 10);
+  checkb "rates over the window" true (summary.Repl_stats.commit_rate = 0.5);
+  (* Forwarded: only the bumped counters, sorted by name. *)
+  let observed = Obs.create () in
+  Obs.forward_counters metrics ~into:observed;
   Alcotest.check (Alcotest.list Alcotest.string) "counter names sorted"
-    [ Repl_stats.commits; Repl_stats.waits ]
-    (Metrics.counter_names metrics);
-  checki "events fired" 1 (Engine.events_fired engine)
+    [ "scheme.commits_total"; "scheme.waits_total" ]
+    (List.map fst (Obs.snapshot observed).Obs.s_counters)
 
 (* --- Two-tier submit routes through a connected mobile directly --- *)
 
@@ -162,7 +166,7 @@ let test_connected_mobile_direct () =
   Two_tier.submit sys ~node:1 [ Op.Increment (o 1, 4.) ];
   Common.drain (Two_tier.base sys);
   checki "no tentative work" 0
-    (Metrics.total_count (Two_tier.base sys).Common.metrics "tentative_commits");
+    (Two_tier.tentative_commits sys);
   checkf "applied at the base" 4.
     (Dangers_storage.Store.Fstore.read (Two_tier.base sys).Common.stores.(0) (o 1))
 

@@ -10,7 +10,6 @@ module Txn_id = Dangers_txn.Txn_id
 module Executor = Dangers_txn.Executor
 module Engine = Dangers_sim.Engine
 module Clock = Dangers_runtime.Clock
-module Metrics = Dangers_sim.Metrics
 module Fstore = Dangers_storage.Store.Fstore
 module Lock_manager = Dangers_lock.Lock_manager
 module Delay = Dangers_runtime.Delay
@@ -18,7 +17,6 @@ module Rng = Dangers_util.Rng
 module Stats = Dangers_util.Stats
 
 module Common = Dangers_replication.Common
-module Repl_stats = Dangers_replication.Repl_stats
 module Eager_group = Dangers_replication.Eager_group
 module Eager_impl = Dangers_replication.Eager_impl
 module Lazy_master = Dangers_replication.Lazy_master
@@ -120,7 +118,7 @@ let test_eager_read_txn_is_local_and_silent () =
   Common.drain base;
   checkb "no store changed" true (Fstore.content_equal snapshot base.Common.stores.(1));
   checkf "read txn duration = reads x action_time" 0.02
-    (Stats.mean (Metrics.sample_stats base.Common.metrics Repl_stats.duration_sample))
+    (Stats.mean base.Common.durations)
 
 (* --- Eager: message delay stretches remote steps --- *)
 
@@ -131,8 +129,7 @@ let test_eager_delay_charges_remote_steps () =
     Eager_impl.submit sys ~node:0 [ Op.Assign (o 1, 1.); Op.Assign (o 2, 2.) ];
     Common.drain (Eager_impl.base sys);
     Stats.mean
-      (Metrics.sample_stats (Eager_impl.base sys).Common.metrics
-         Repl_stats.duration_sample)
+      (Eager_impl.base sys).Common.durations
   in
   (* 2 updates x 3 nodes x 10ms. *)
   checkf "zero delay baseline" 0.06 (duration Delay.Zero);

@@ -9,6 +9,9 @@ module Observe = Dangers_sim.Observe
 module Trace = Dangers_sim.Trace
 module Scheme = Dangers_experiments.Scheme
 module Params = Dangers_analytic.Params
+module Sweep = Dangers_runner.Sweep
+module Common = Dangers_replication.Common
+module Eager_group = Dangers_replication.Eager_group
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -33,6 +36,32 @@ let test_counters_and_gauges () =
     (Option.get (Metrics.snapshot_counter s "hits"));
   Alcotest.check (Alcotest.float 0.) "snapshot gauge" 7.
     (Option.get (Metrics.snapshot_gauge s "depth"))
+
+let test_counter_window () =
+  let t = Metrics.create () in
+  let c = Metrics.counter t "x" in
+  Metrics.add c 5;
+  checki "no window yet: the lifetime" 5 (Metrics.window_value c);
+  Metrics.start_window t;
+  checki "window reset" 0 (Metrics.window_value c);
+  Metrics.incr c;
+  let late = Metrics.counter t "late" in
+  Metrics.incr late;
+  checki "window read after start_window" 1 (Metrics.window_value c);
+  checki "counter created inside the window" 1 (Metrics.window_value late)
+
+let test_counter_lifetime_kept () =
+  let t = Metrics.create () in
+  let c = Metrics.counter t "x" in
+  Metrics.add c 3;
+  Metrics.start_window t;
+  Metrics.add c 4;
+  Metrics.start_window t;
+  Metrics.incr c;
+  checki "window since the last start" 1 (Metrics.window_value c);
+  checki "lifetime kept" 8 (Metrics.counter_value c);
+  checki "snapshots report the lifetime" 8
+    (Option.get (Metrics.snapshot_counter (Metrics.snapshot t) "x"))
 
 let test_histogram_buckets () =
   let t = Metrics.create () in
@@ -147,6 +176,64 @@ let test_observed_runs_identical () =
         | None -> false))
     Scheme.all
 
+(* The exported snapshot of one fixed-seed run per registered scheme,
+   pinned against test/metrics_golden.jsonl: counters, gauges and
+   histograms only — phases are host timings and [warnings_total] is
+   process-wide. *)
+let golden_line scheme =
+  let params = { Params.default with Params.nodes = 4; db_size = 200; tps = 2. } in
+  let task =
+    Sweep.Scheme_task
+      { scheme; spec = Scheme.spec params; seed = 42; warmup = 5.; span = 20. }
+  in
+  match Sweep.run_observed [ task ] with
+  | [ (_, o) ] ->
+      let json = Metrics.snapshot_to_json o.Sweep.o_snapshot in
+      Json.to_string
+        (Json.Obj
+           (("scheme", Json.Str scheme)
+           :: List.map
+                (fun key -> (key, Json.member key json))
+                [ "counters"; "gauges"; "histograms" ]))
+  | _ -> assert false
+
+let test_snapshot_golden () =
+  let ic = open_in_bin "metrics_golden.jsonl" in
+  let expected = In_channel.input_all ic in
+  close_in ic;
+  let actual =
+    String.concat "" (List.map (fun s -> golden_line s ^ "\n") (Scheme.names ()))
+  in
+  checks "snapshots match the golden file" expected actual
+
+(* An experiment builds many systems under one shared registry: each
+   system's summary counts only its own events, the snapshot their sum. *)
+let test_shared_registry () =
+  let params = { Params.default with Params.nodes = 3; db_size = 100 } in
+  let run seed =
+    let sys = Eager_group.create params ~seed in
+    Eager_group.start sys;
+    Common.measure (Eager_group.base sys) ~warmup:1. ~span:10.;
+    sys
+  in
+  let registry = Metrics.create () in
+  let observed =
+    Observe.with_observation ~obs:registry (fun () -> [ run 1; run 2 ])
+  in
+  List.iter2
+    (fun sys seed ->
+      checkb "summary equals the unobserved run" true
+        (Eager_group.summary sys = Eager_group.summary (run seed)))
+    observed [ 1; 2 ];
+  let total sys =
+    Metrics.counter_value (Eager_group.base sys).Common.stats.commits
+  in
+  checkb "both systems committed" true (List.for_all (fun s -> total s > 0) observed);
+  checki "snapshot sums both systems"
+    (List.fold_left (fun acc s -> acc + total s) 0 observed)
+    (Option.get
+       (Metrics.snapshot_counter (Metrics.snapshot registry) "scheme.commits_total"))
+
 let test_scheme_find_underscores () =
   checkb "underscore spelling" true
     (match Scheme.find "eager_group" with
@@ -160,6 +247,9 @@ let test_scheme_find_underscores () =
 let suite =
   [
     Alcotest.test_case "counters and gauges" `Quick test_counters_and_gauges;
+    Alcotest.test_case "metrics counters and window" `Quick test_counter_window;
+    Alcotest.test_case "metrics lifetime kept across windows" `Quick
+      test_counter_lifetime_kept;
     Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
     Alcotest.test_case "sources merge" `Quick test_sources_merge;
     Alcotest.test_case "snapshot json round-trip" `Quick
@@ -168,6 +258,8 @@ let suite =
     Alcotest.test_case "profiling timed" `Quick test_profiling_timed;
     Alcotest.test_case "observed runs identical" `Slow
       test_observed_runs_identical;
+    Alcotest.test_case "snapshot golden" `Quick test_snapshot_golden;
+    Alcotest.test_case "shared registry" `Quick test_shared_registry;
     Alcotest.test_case "scheme find underscores" `Quick
       test_scheme_find_underscores;
   ]

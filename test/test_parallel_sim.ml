@@ -4,7 +4,6 @@
    registered scheme at --sim-domains 1, 2 and 4. *)
 
 module Engine = Dangers_sim.Engine
-module Heap = Dangers_sim.Heap
 module Partition = Dangers_sim.Partition
 module Par_engine = Dangers_sim.Par_engine
 module Observe = Dangers_sim.Observe
@@ -37,48 +36,6 @@ let test_next_time_skips_cancelled () =
   checkb "drained" true (Engine.next_time e = None);
   (* next_time pops dead roots but must not fire anything *)
   checki "no cancelled event fired" 1 (Engine.events_fired e)
-
-(* --- Heap lifecycle: clear and pop must not pin dead closures --- *)
-
-let weak_of_list xs =
-  let w = Weak.create (List.length xs) in
-  List.iteri (fun i x -> Weak.set w i (Some x)) xs;
-  w
-
-let live w =
-  let n = ref 0 in
-  for i = 0 to Weak.length w - 1 do
-    if Weak.check w i then incr n
-  done;
-  !n
-
-let test_clear_releases_elements () =
-  let h = Heap.create ~cmp:(fun (a, _) (b, _) -> Int.compare a b) () in
-  let boxed = List.init 64 (fun i -> (i, ref i)) in
-  let w = weak_of_list boxed in
-  List.iter (Heap.push h) boxed;
-  Heap.clear h;
-  Gc.full_major ();
-  (* the capacity-preserving clear may keep every slot aliased to one
-     element; everything else must be gone *)
-  checkb
-    (Printf.sprintf "at most one element survives clear (%d live)" (live w))
-    true (live w <= 1);
-  checki "cleared" 0 (Heap.length h);
-  checkb "capacity kept" true (Heap.capacity h >= 64)
-
-let test_pop_releases_slot () =
-  let h = Heap.create ~cmp:(fun (a, _) (b, _) -> Int.compare a b) () in
-  let boxed = List.init 16 (fun i -> (i, ref i)) in
-  let w = weak_of_list boxed in
-  List.iter (Heap.push h) boxed;
-  while not (Heap.is_empty h) do
-    ignore (Heap.pop h)
-  done;
-  Gc.full_major ();
-  checkb
-    (Printf.sprintf "popped elements collectable (%d live)" (live w))
-    true (live w <= 1)
 
 (* --- Partition router: deterministic merge and the conservative check --- *)
 
@@ -158,12 +115,11 @@ let router_order_prop =
       done;
       Par_engine.run t;
       let expected =
-        let h = Heap.create ~cmp:Float.compare () in
-        List.iteri
-          (fun i (src, dst, units) ->
-            if src <> dst then Heap.push h (delay i units))
-          ops;
-        Heap.to_sorted_list h
+        List.concat
+          (List.mapi
+             (fun i (src, dst, units) -> if src <> dst then [ delay i units ] else [])
+             ops)
+        |> List.sort Float.compare
       in
       List.rev !log = expected)
 
@@ -348,9 +304,6 @@ let suite =
   [
     Alcotest.test_case "next_time skips cancelled roots" `Quick
       test_next_time_skips_cancelled;
-    Alcotest.test_case "heap clear releases elements" `Quick
-      test_clear_releases_elements;
-    Alcotest.test_case "heap pop releases slot" `Quick test_pop_releases_slot;
     Alcotest.test_case "router merge order" `Quick test_router_merge_order;
     Alcotest.test_case "router rejects past delivery" `Quick
       test_router_conservative_violation;

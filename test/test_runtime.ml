@@ -5,11 +5,9 @@
 
 module Engine = Dangers_sim.Engine
 module Clock = Dangers_runtime.Clock
-module Runtime = Dangers_runtime.Runtime
 module Live_clock = Dangers_runtime.Live_clock
 module Codec = Dangers_runtime.Codec
 module Params = Dangers_analytic.Params
-module Metrics = Dangers_sim.Metrics
 module Two_tier = Dangers_core.Two_tier
 module Common = Dangers_replication.Common
 module Rng = Dangers_util.Rng
@@ -149,7 +147,7 @@ type counts = {
 
 (* A fixed-seed churning-mobile workload, driven entirely through the
    Clock interface. *)
-let run_two_tier runtime =
+let run_two_tier clock =
   let params =
     {
       Params.default with
@@ -162,7 +160,7 @@ let run_two_tier runtime =
       disconnected_time = 15.;
     }
   in
-  let sys = Two_tier.create ~runtime ~base_nodes:3 params ~seed:11 in
+  let sys = Two_tier.create ~clock ~base_nodes:3 params ~seed:11 in
   let clock = (Two_tier.base sys).Common.clock in
   let rng = Rng.create ~seed:99 in
   (* Interleave explicit submissions (numbered nodes, mixed ops) with
@@ -176,20 +174,18 @@ let run_two_tier runtime =
     Clock.run clock ~until:(float_of_int round *. 2.)
   done;
   Two_tier.quiesce_and_sync sys;
-  let metrics = (Two_tier.base sys).Common.metrics in
-  let count name = Metrics.total_count metrics name in
   {
     commits = (Two_tier.summary sys).Dangers_replication.Repl_stats.commits;
-    tentative_commits = count "tentative_commits";
+    tentative_commits = Two_tier.tentative_commits sys;
     accepted = Two_tier.tentative_accepted sys;
     rejected = Two_tier.tentative_rejected sys;
-    scope_violations = count "scope_violations";
-    syncs = count "syncs";
+    scope_violations = Two_tier.scope_violations sys;
+    syncs = Two_tier.syncs sys;
   }
 
 let test_two_tier_sim_determinism () =
-  let a = run_two_tier (Runtime.sim ()) in
-  let b = run_two_tier (Runtime.sim ()) in
+  let a = run_two_tier (Clock.of_engine (Engine.create ())) in
+  let b = run_two_tier (Clock.of_engine (Engine.create ())) in
   checkb "workload actually exercised the mobile path" true
     (a.tentative_commits > 0 && a.syncs > 0 && a.commits > 0);
   checkb "sim deterministic" true (a = b)
