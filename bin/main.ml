@@ -819,14 +819,11 @@ let fuzz_cmd =
               1)
     end
     else begin
+      let schemes =
+        match scheme with None -> Fuzz.all_schemes | Some s -> [ s ]
+      in
       let tests =
-        (match scheme with
-        | None -> Fuzz.tests ~count ()
-        | Some s ->
-            List.filteri
-              (fun i _ -> List.nth Fuzz.all_schemes i = s)
-              (Fuzz.tests ~count ()))
-        @ Fuzz.sabotage_tests ()
+        List.map (Fuzz.test ~count) schemes @ Fuzz.sabotage_tests ()
       in
       QCheck_base_runner.run_tests ~colors:false ~verbose:true
         ~rand:(Random.State.make [| seed |]) tests
@@ -899,10 +896,9 @@ let lint_cmd =
   let module Lint_baseline = Dangers_lint.Baseline in
   let module Lint_report = Dangers_lint.Report in
   let prefixes =
-    Arg.(value & pos_all string [ "lib/"; "bin/"; "bench/" ]
+    Arg.(value & pos_all string [ "lib/"; "bin/" ]
          & info [] ~docv:"PREFIX"
-             ~doc:"Source path prefixes to analyze (default: lib/ bin/ \
-                   bench/).")
+             ~doc:"Source path prefixes to analyze (default: lib/ bin/).")
   in
   let build_dir =
     Arg.(value & opt (some string) None

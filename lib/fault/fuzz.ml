@@ -288,18 +288,17 @@ let report_failure case outcome =
     (Format.pp_print_list Invariants.pp_violation)
     outcome.violations Fault_plan.pp outcome.plan (replay_command case)
 
-let tests ?(count = 200) () =
-  List.map
-    (fun scheme ->
-      QCheck.Test.make ~count
-        ~name:(Printf.sprintf "fuzz %s: invariants hold" (scheme_name scheme))
-        (arbitrary scheme)
-        (fun case ->
-          let outcome = run case in
-          match outcome.violations with
-          | [] -> true
-          | _ -> report_failure case outcome))
-    all_schemes
+let test ~count scheme =
+  QCheck.Test.make ~count
+    ~name:(Printf.sprintf "fuzz %s: invariants hold" (scheme_name scheme))
+    (arbitrary scheme)
+    (fun case ->
+      let outcome = run case in
+      match outcome.violations with
+      | [] -> true
+      | _ -> report_failure case outcome)
+
+let tests ?(count = 200) () = List.map (test ~count) all_schemes
 
 (* Fixed-seed sweeps: each sabotaged scheme must be caught on at least one
    seed (deterministically — run is a pure function of the case). *)

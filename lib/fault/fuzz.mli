@@ -57,10 +57,14 @@ val run : ?sabotage:bool -> case -> outcome
 val arbitrary : scheme -> case QCheck.arbitrary
 (** Generator + shrinker + printer over cases of one scheme. *)
 
+val test : count:int -> scheme -> QCheck.Test.t
+(** The property for one scheme: [count] random cases must produce zero
+    violations. Failures report the violations, the regenerated fault
+    plan, and the replay command. *)
+
 val tests : ?count:int -> unit -> QCheck.Test.t list
-(** One property per scheme: [count] (default 200) random cases each must
-    produce zero violations. Failures report the violations, the
-    regenerated fault plan, and the replay command. *)
+(** {!test} for every scheme in {!all_schemes}, [count] defaulting to
+    200. *)
 
 val sabotage_tests : unit -> QCheck.Test.t list
 (** Self-validation: small fixed-seed sweeps asserting that the deliberate

@@ -66,9 +66,9 @@ let normalize_path path = normalize_use (Path.name path)
 let short_name path = snd (normalize_path path)
 
 (* Library slug a definition in [source_path] belongs to:
-   lib/util/... -> "dangers_util"; bin/ and bench/ keep the directory
-   name (executables are never referenced cross-module, so any stable
-   value works). *)
+   lib/util/... -> "dangers_util"; executables (bin/, ...) keep the
+   directory name (executables are never referenced cross-module, so any
+   stable value works). *)
 let lib_of_source_path path =
   match String.split_on_char '/' path with
   | "lib" :: dir :: _ -> "dangers_" ^ dir

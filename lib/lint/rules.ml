@@ -372,11 +372,10 @@ let rt1 =
 
 (* --- DR1–DR4: cross-domain data races (whole-program, two-phase) --- *)
 
-(* The interprocedural rules look at everything the build produces:
-   library code, the CLI drivers in bin/, and the benchmark drivers in
-   bench/ — Domain.spawn in a driver races exactly like one in a
+(* The interprocedural rules look at the library code and the CLI driver
+   in bin/ — Domain.spawn in a driver races exactly like one in a
    library. *)
-let dr_scope = Rule.path_has_prefix [ "lib/"; "bin/"; "bench/" ]
+let dr_scope = Rule.path_has_prefix [ "lib/"; "bin/" ]
 
 let dr1 =
   {

@@ -99,7 +99,8 @@ let histogram ?(buckets = default_latency_buckets ()) t name =
 let observe h x =
   let n = Array.length h.uppers in
   let rec slot i = if i >= n || x <= h.uppers.(i) then i else slot (i + 1) in
-  h.counts.(slot 0) <- h.counts.(slot 0) + 1;
+  let i = slot 0 in
+  h.counts.(i) <- h.counts.(i) + 1;
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum +. x
 

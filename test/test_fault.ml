@@ -306,24 +306,6 @@ let test_fuzz_invariants_hold_spot () =
         [ Fuzz.Clean; Fuzz.Lossless; Fuzz.Chaotic ])
     Fuzz.all_schemes
 
-let test_fuzz_sabotage_caught () =
-  let find_violation scheme invariant =
-    List.exists
-      (fun seed ->
-        let case =
-          { Fuzz.scheme; seed; nodes = 4; txns = 100; level = Fuzz.Lossless }
-        in
-        List.exists
-          (fun (v : Invariants.violation) ->
-            v.Invariants.invariant = invariant)
-          (Fuzz.run ~sabotage:true case).Fuzz.violations)
-      [ 1; 2; 3; 4; 5 ]
-  in
-  checkb "skipped acceptance produces base delusion" true
-    (find_violation Fuzz.Two_tier "two-tier-base-1SR");
-  checkb "lossy rule loses updates" true
-    (find_violation Fuzz.Lazy_group "lazy-group-lossless-sum")
-
 let test_fuzz_names_round_trip () =
   List.iter
     (fun s ->
@@ -439,7 +421,6 @@ let suite =
     Alcotest.test_case "fuzz deterministic" `Quick test_fuzz_case_deterministic;
     Alcotest.test_case "fuzz invariants spot" `Quick
       test_fuzz_invariants_hold_spot;
-    Alcotest.test_case "fuzz sabotage caught" `Quick test_fuzz_sabotage_caught;
     Alcotest.test_case "fuzz names round trip" `Quick
       test_fuzz_names_round_trip;
     Alcotest.test_case "parallel faults deterministic" `Slow
@@ -447,3 +428,7 @@ let suite =
     Alcotest.test_case "fuzz ignores sim-domains budget" `Slow
       test_fuzz_ignores_sim_domains;
   ]
+  (* The same fixed-seed sabotage sweeps the @fuzz alias runs. *)
+  @ List.map
+      (QCheck_alcotest.to_alcotest ~speed_level:`Quick)
+      (Fuzz.sabotage_tests ())
